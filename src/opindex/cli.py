@@ -232,7 +232,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", type=float, default=1.0, help="bump scale")
     p.add_argument("--half-width", type=float, default=40.0, help="grid half width")
     p.add_argument("--points", type=int, default=1024, help="grid points")
-    p.add_argument("--s-nodes", type=int, default=8, help="quadrature nodes in s")
     p.add_argument("--t0", type=float, default=1.0, help="first heat time")
     p.add_argument("--t-top", type=float, default=32.0, help="last heat time")
     p.add_argument("--t-count", type=int, default=11, help="schedule length")
@@ -443,7 +442,7 @@ def _run_witten_estimate(p: dict, rec: ResultRecord) -> int:
     a1, grid = _witten_setup(p)
     bump = witten.PerturbationProfile.lorentzian(float(p["mu"]))
     schedule = np.geomspace(float(p["t0"]), float(p["t_top"]), int(p["t_count"]))
-    estimate = witten.witten_index_estimate(a1, bump, schedule, int(p["s_nodes"]))
+    estimate = witten.witten_index_estimate(a1, bump, schedule)
     closed = witten.witten_index_closed_form(bump)
     resid = abs(estimate.plateau_value - closed)
     rec.results.update(
@@ -481,7 +480,7 @@ def _run_ptf_check(p: dict, rec: ResultRecord) -> int:
     rows = []
     worst = 0.0
     for i, t in enumerate(times):
-        rhs = witten.heat_trace_rhs(a1, bump, t, 8)
+        rhs = witten.heat_trace_rhs(a1, bump, t)
         lhs = lhs_by_tag[tags[0]][i]
         rel = abs(lhs - rhs) / max(abs(rhs), 0.1)
         worst = max(worst, rel)

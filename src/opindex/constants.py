@@ -14,7 +14,6 @@ import numpy as np
 HERMITIAN_REL_TOL = 1e-12       # max|M - M^H| <= tol * max|M| on construction
 EIG_RECONSTRUCT_REL_TOL = 1e-10  # max|M - V L V^H| <= tol * max|M|
 ORTHONORMAL_TOL = 1e-10          # column orthonormality of eigenvector bases
-SEMIGROUP_REL_TOL = 1e-8         # heat flow composition residual, relative
 
 # --- shift-lattice / Toeplitz ---------------------------------------------
 SVD_RANK_TOL = 1e-7              # singular values below this count as zero

@@ -90,6 +90,15 @@ def herm_eig(m, check: bool = True) -> EigenSystem:
     return EigenSystem(values=values, vectors=vectors)
 
 
+def herm_eigvals(m) -> np.ndarray:
+    """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
+    a = as_square_matrix(m)
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
+        raise EigensolverError(f"eigvalsh failed to converge: {exc}") from exc
+
+
 def heat_operator(m, t: float, eig: EigenSystem | None = None) -> np.ndarray:
     """Heat semigroup element exp(-t M) for Hermitian M via eigenmodes.
 

@@ -9,6 +9,7 @@ from opindex.linalg import (
     EigenSystem,
     heat_operator,
     herm_eig,
+    herm_eigvals,
     singular_values,
     trace,
 )
@@ -53,6 +54,10 @@ class TestHermEig:
     def test_rejects_non_hermitian(self):
         with pytest.raises(HermitianityError):
             herm_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_eigvals_match_eig(self):
+        m = random_hermitian(40, seed=11)
+        assert np.max(np.abs(herm_eigvals(m) - herm_eig(m).values)) <= 1e-12
 
 
 class TestHeatOperator:
