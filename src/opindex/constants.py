@@ -35,6 +35,12 @@ THETA_TAIL_TOL = 1e-6            # connection profile must be this close to 0/1 
 T_CEILING_FACTOR = 0.25          # max usable t = factor * (L/pi)^2 on an L-grid
 DECAY_CERT_MAX = 1e3             # sup |phi(x)| (1+x^2) beyond this means no decay
 CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form integral
+# Absolute budget for the eigenpairs a path-splitting leg leaves out.  A leg
+# keeps only the pairs with lambda in (-c, c], where exp(-t c^2) sum_xy |B_xy|
+# equals this budget.  The rows of the unitary V have unit norm, so by
+# Cauchy-Schwarz the dropped pairs add at most exp(-t c^2) sum_xy |B_xy| to
+# tr(exp(-t A_s^2) B).
+HEAT_TAIL_ABS_TOL = 1e-18
 
 # --- scattering -------------------------------------------------------------
 S_UNITARITY_TOL = 1e-8           # max|S^H S - 1| per emitted scattering matrix

@@ -46,6 +46,7 @@ from scipy.special import erf as _erf
 from .constants import (
     CLOSED_FORM_ABS_TOL,
     DECAY_CERT_MAX,
+    HEAT_TAIL_ABS_TOL,
     PLATEAU_DIFF_TOL,
     PLATEAU_MIN_SAMPLES,
     T_CEILING_FACTOR,
@@ -615,24 +616,36 @@ def path_splitting_check(
     ``s_nodes``-point Gauss-Legendre quadrature of the trace-derivative
     integrand, so the check exercises that formula rather than its
     telescoped closed form.
+
+    At each node only the eigenpairs with lambda in (-c, c] are computed,
+    with c = sqrt(ln(sum_xy |B_xy| / HEAT_TAIL_ABS_TOL) / t); by
+    Cauchy-Schwarz over the unit rows of the eigenvector matrix the dropped
+    pairs add at most HEAT_TAIL_ABS_TOL to the integrand.  The weights
+    v^H B v of the kept pairs come from the d x d diagonal blocks of the
+    multiplication operator B, so no dense product with B is formed.
     """
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
-    grid = a1.grid
+    grid, d = a1.grid, b1.dim
     b1m = multiplication_operator(b1, grid)
     b2m = multiplication_operator(b2, grid)
     b3m = b1m + b2m
     nodes, weights = leggauss(s_nodes)
     s_vals, s_weights = 1.5 + 0.5 * nodes, 0.5 * weights  # mapped to s in [1, 2]
+    site = np.arange(grid.points)
 
     def leg(base: np.ndarray, step: np.ndarray) -> float:
         """integral_1^2 tr(exp(-t A_s^2) step) ds along A_s = base + (s-1) step."""
-        if not np.any(step):
+        blocks = step.reshape(grid.points, d, grid.points, d)[site, :, site, :]
+        mass = float(np.sum(np.abs(blocks)))
+        if mass <= HEAT_TAIL_ABS_TOL:  # the whole leg is within the budget
             return 0.0
+        within = np.sqrt(np.log(mass / HEAT_TAIL_ABS_TOL) / t)
         total = 0.0
         for s, w in zip(s_vals, s_weights):
-            es = herm_eig(base + (s - 1.0) * step, check=False)
-            bw = np.einsum("xj,xj->j", es.vectors.conj(), step @ es.vectors).real
+            es = herm_eig(base + (s - 1.0) * step, check=False, within=within)
+            v = es.vectors.reshape(grid.points, d, -1)
+            bw = np.einsum("xaj,xab,xbj->j", v.conj(), blocks, v).real
             total += w * float(np.sum(np.exp(-t * es.values * es.values) * bw))
         return total
 

@@ -59,6 +59,26 @@ class TestHermEig:
         m = random_hermitian(40, seed=11)
         assert np.max(np.abs(herm_eigvals(m) - herm_eig(m).values)) <= 1e-12
 
+    def test_window_matches_full_spectrum(self):
+        m = random_hermitian(60, seed=17)
+        full = herm_eig(m)
+        keep = np.abs(full.values) < 3.0
+        window = herm_eig(m, within=3.0)
+        assert 0 < len(window.values) == np.count_nonzero(keep) < 60
+        assert np.max(np.abs(window.values - full.values[keep])) <= 1e-12
+        # eigenvector phases are arbitrary: compare the weights |v_xj|^2
+        weights = np.abs(window.vectors) ** 2
+        assert np.max(np.abs(weights - np.abs(full.vectors[:, keep]) ** 2)) <= 1e-12
+
+    def test_empty_window(self):
+        es = herm_eig(np.diag([2.0, -3.0, 5.0]), within=1.0)
+        assert es.values.shape == (0,)
+        assert es.vectors.shape == (3, 0)
+
+    def test_window_check_passes(self):
+        es = herm_eig(random_hermitian(40, seed=5), check=True, within=2.0)
+        assert 0 < len(es.values) < 40
+
 
 class TestHeatOperator:
     def test_zero_matrix_gives_identity(self):

@@ -28,9 +28,30 @@ from opindex.witten import (
     witten_index_estimate,
 )
 
-from oracles import heat_trace_quadrature
+from oracles import (
+    heat_trace_quadrature,
+    path_split_full_spectrum,
+    suspension_window_trace,
+)
 
 SMALL_GRID = GridSpec(20.0, 256)
+# 2x2 bumps whose off-diagonal entries are shaped unlike the diagonal ones,
+# so the blockwise weights v^H B v mix the two components of every site.
+# On a resolved grid at large t the s-integrand sees only tr B and the
+# off-diagonal part of the weights cancels to rounding; at t = 0.2 it moves
+# the legs by ~5e-12, which the 1e-13 oracle comparison resolves.
+MATRIX_BUMP_1 = PerturbationProfile(
+    evaluator=lambda x: np.array(
+        [[1.0 / (1.0 + x * x), 0.8j * np.exp(-4.0 * x * x)],
+         [-0.8j * np.exp(-4.0 * x * x), 0.5 / (1.0 + x * x)]]
+    ),
+    dim=2,
+)
+MATRIX_BUMP_2 = PerturbationProfile(
+    evaluator=lambda x: np.array([[0.4, 0.6 * np.tanh(x)], [0.6 * np.tanh(x), -0.3]])
+    * np.exp(-x * x),
+    dim=2,
+)
 
 
 @pytest.fixture(scope="module")
@@ -286,6 +307,13 @@ class TestSuspension:
         )
         assert abs(full) <= 1e-8
 
+    def test_window_trace_matches_numpy_oracle(self, small_suspension):
+        _, _, sus, spectrum = small_suspension
+        for t in (0.5, 1.0, 2.0):
+            ours = ptf_lhs(sus, t, spectrum)
+            oracle = suspension_window_trace(sus.matrix, sus.window_mask, t)
+            assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+
     def test_window_trace_matches_rhs(self, small_suspension):
         a1, bump, sus, spectrum = small_suspension
         for t in (0.5, 1.0, 2.0):
@@ -352,6 +380,42 @@ class TestComposition:
         coarse = path_splitting_check(small_dirac, b1, b2, 2.0, 4)
         fine = path_splitting_check(small_dirac, b1, b2, 2.0, 8)
         assert fine.residual <= coarse.residual + 1e-15
+
+    def test_path_split_quadrature_converges(self):
+        # on a 128-point grid the s-integrand still varies with s, so the
+        # residual shows the Gauss-Legendre error instead of rounding noise
+        grid = GridSpec(20.0, 128)
+        a1 = discretize_dirac(grid)
+        b1 = PerturbationProfile.lorentzian(0.7)
+        b2 = PerturbationProfile.lorentzian(0.9)
+        residual = {
+            nodes: path_splitting_check(a1, b1, b2, 2.0, nodes).residual
+            for nodes in (1, 4, 8)
+        }
+        assert residual[4] <= residual[1] / 100.0
+        assert residual[8] <= 1e-13
+
+    @pytest.mark.parametrize(
+        "b1, b2, t",
+        [
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 2.0),
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.zero(), 2.0),
+            (MATRIX_BUMP_1, MATRIX_BUMP_2, 0.2),
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 0.05),
+        ],
+        ids=["lorentzian", "zero-second-leg", "matrix-valued", "window-keeps-all"],
+    )
+    def test_path_split_matches_full_spectrum_oracle(self, b1, b2, t):
+        a1 = discretize_dirac(SMALL_GRID, dim=b1.dim)
+        report = path_splitting_check(a1, b1, b2, t)
+        oracle = path_split_full_spectrum(
+            a1.matrix,
+            multiplication_operator(b1, SMALL_GRID),
+            multiplication_operator(b2, SMALL_GRID),
+            t,
+        )
+        ours = (report.direct, report.first_leg, report.second_leg)
+        assert np.max(np.abs(np.subtract(ours, oracle))) <= 1e-13
 
 
 class TestTraceClassDiagnostic:
