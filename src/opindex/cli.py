@@ -399,15 +399,18 @@ def parse_config(argv: list[str]) -> RunConfig:
 def _run_toeplitz_example(p: dict, rec: ResultRecord) -> int:
     n = int(p["n"])
     t_op, t_adj = toeplitz.build_paper_example(n)
-    ops = toeplitz.paper_example_operators(n)
-    q = ops["q"]
-    report = toeplitz.fedosov_index(t_op, t_adj, n)
-    d1 = ((t_op @ t_adj) - q).interior(n)
-    d2 = ((t_adj @ t_op) - q).interior(n)
-    expected = np.zeros_like(d1)
-    expected[n, n] = -1.0
-    defect1_exact = bool(np.array_equal(d1, expected))
-    defect2_exact = bool(np.array_equal(d2, np.zeros_like(d2)))
+    q = toeplitz.hardy_compression(t_op.window)
+    report = toeplitz.fedosov_index(t_op, t_adj, n, unit=q)
+    d1 = ((t_op @ t_adj) - q).interior_bands(n)
+    d2 = ((t_adj @ t_op) - q).interior_bands(n)
+    # T T' - Q is minus the projection onto the lowest integer-lattice mode
+    # (site 0, the middle of the main diagonal); T' T - Q vanishes
+    lowest = np.zeros(2 * n + 1)
+    lowest[n] = -1.0
+    defect1_exact = np.array_equal(d1.pop(0, None), lowest) and not any(
+        np.any(diag) for diag in d1.values()
+    )
+    defect2_exact = not any(np.any(diag) for diag in d2.values())
     rec.results.update(
         index=report.verdict,
         fedosov_value=complex(report.fedosov_value),

@@ -4,7 +4,8 @@ Each function here recomputes a quantity by a route structurally different
 from the library implementation: series/Pade matrix exponentials, RK4 ODE
 stepping, analytic two-interface matching, transcendental root counting,
 Gauss-Legendre quadrature of the heat-trace s-integral over the full
-spectrum, and suspension traces from numpy's own LAPACK.
+spectrum, suspension traces from numpy's own LAPACK, and dense matrices of
+shift-lattice band maps assembled entry by entry.
 """
 
 import numpy as np
@@ -177,3 +178,20 @@ def suspension_window_trace(matrix, window_mask, t: float) -> float:
         mass = np.sum(np.abs(vec[window_mask, :]) ** 2, axis=0)
         total += sign * float(np.sum(np.exp(-t * np.maximum(lam, 0.0)) * mass))
     return total
+
+
+def dense_from_bands(window: int, bands: dict) -> np.ndarray:
+    """The (2w+1) x (2w+1) matrix of a band map, filled one entry at a time.
+
+    ``bands[d]`` is a scalar or an array over output sites [-w, w]; entry
+    (r, r - d) takes its value at row r wherever column r - d is inside the
+    window.  Products, differences and adjoints are then plain numpy.
+    """
+    n = 2 * window + 1
+    out = np.zeros((n, n), dtype=complex)
+    for d, coeff in bands.items():
+        values = np.broadcast_to(np.asarray(coeff, dtype=complex), (n,))
+        for r in range(n):
+            if 0 <= r - d < n:
+                out[r, r - d] = values[r]
+    return out

@@ -1,10 +1,12 @@
 """CLI contract: parsing precedence, record formats, exit codes."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from opindex import toeplitz
 from opindex.cli import ResultRecord, main, parse_config, run
 
 
@@ -107,6 +109,25 @@ class TestExitCodes:
         assert record.results["index"] == -1
         assert record.results["defect_identity_1_exact"]
         assert record.results["defect_identity_2_exact"]
+
+    def test_toeplitz_example_at_scale(self, monkeypatch):
+        # at n = 4096 the padded window has 24577 sites: one dense complex
+        # (2w+1)^2 matrix would take 9.7 GB, an interior (2n+1)^2 block 1.1 GB
+        def no_dense(*args):
+            raise AssertionError("dense block formed on the toeplitz-example path")
+
+        monkeypatch.setattr(toeplitz.ShiftLatticeOperator, "interior", no_dense)
+        tracemalloc.start()
+        try:
+            record, code = run(parse_config(["toeplitz-example", "--n", "4096"]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert record.results["index"] == -1
+        assert record.results["defect_identity_1_exact"]
+        assert record.results["defect_identity_2_exact"]
+        assert peak < 64 * 2**20
 
     def test_levinson_accepted(self):
         record, code = run(parse_config(["levinson", "--well-depth", "2"]))

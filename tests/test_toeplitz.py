@@ -2,7 +2,8 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from oracles import dense_from_bands
 from scipy.integrate import quad
 
 from opindex.errors import (
@@ -73,10 +74,30 @@ class TestHalfShiftExample:
 
     def test_padding_monotonicity(self):
         values = []
-        for n in (16, 32, 64):
+        for n in (16, 32, 64, 1024):
             t_op, t_adj = build_paper_example(n)
             values.append(fedosov_index(t_op, t_adj, n).fedosov_value)
-        assert values[0] == values[1] == values[2]
+        assert values[0] == values[1] == values[2] == values[3]
+
+    def test_insufficient_padding_inconclusive(self):
+        # interior 12 on the window padded for 8: T' T - Q has its
+        # window-edge entry at site 24, inside the zone checked for exactness
+        t_op, t_adj = build_paper_example(8)
+        with pytest.raises(InconclusiveError) as excinfo:
+            fedosov_index(t_op, t_adj, 12)
+        assert excinfo.value.detail == 24
+
+    def test_off_diagonal_support_sized_by_column(self):
+        # one entry at (site 5, site -11): its column sets the radius
+        window = 24
+        entry = np.zeros(2 * window + 1)
+        entry[window + 5] = 1.0
+        t_op = ShiftLatticeOperator.from_band(window, {16: entry})
+        unit = ShiftLatticeOperator.from_band(window, {0: 1.0})
+        empty = ShiftLatticeOperator.from_band(window, {})
+        with pytest.raises(InconclusiveError) as excinfo:
+            fedosov_index(t_op, unit, 8, unit=empty)
+        assert excinfo.value.detail == 11
 
     def test_too_small_interior_rejected(self):
         with pytest.raises(WindowSizingError):
@@ -272,3 +293,84 @@ class TestShiftLatticeAlgebra:
         up = ShiftLatticeOperator.shift(6, 1, 0.0, 0.5)
         with pytest.raises(DomainError):
             _ = up @ up
+
+    def test_band_shape_checked(self):
+        with pytest.raises(WindowSizingError):
+            ShiftLatticeOperator(2, {0: np.ones(3, dtype=complex)})
+        with pytest.raises(WindowSizingError):
+            ShiftLatticeOperator(2, {5: np.ones(5, dtype=complex)})
+
+
+@st.composite
+def band_maps(draw, window, integer):
+    """Up to four bands, with offsets out to two past the window edge."""
+    n = 2 * window + 1
+    if integer:
+        values = st.integers(min_value=-3, max_value=3)
+    else:
+        values = st.complex_numbers(max_magnitude=1.0, allow_nan=False,
+                                    allow_infinity=False)
+    coeffs = values | st.lists(values, min_size=n, max_size=n).map(np.array)
+    offsets = draw(st.lists(st.integers(min_value=-n - 1, max_value=n + 1),
+                            unique=True, max_size=4))
+    return {d: draw(coeffs) for d in offsets}
+
+
+def operand_pairs(integer):
+    """(window, band map a, band map b, interior half) on windows up to 4."""
+    def on_window(window):
+        return st.tuples(st.just(window), band_maps(window, integer),
+                         band_maps(window, integer),
+                         st.integers(min_value=0, max_value=window))
+    return st.integers(min_value=0, max_value=4).flatmap(on_window)
+
+
+def assert_zero_outside_window(op):
+    rows = np.arange(2 * op.window + 1)
+    for d, coeffs in op.bands.items():
+        columns = rows - d
+        assert not np.any(coeffs[(columns < 0) | (columns > 2 * op.window)])
+
+
+def check_band_algebra(window, map_a, map_b, half, same):
+    a = ShiftLatticeOperator.from_band(window, map_a)
+    b = ShiftLatticeOperator.from_band(window, map_b)
+    for op in (a, b, a @ b, a - b, a.adjoint()):
+        assert_zero_outside_window(op)
+    dense_a = dense_from_bands(window, map_a)
+    dense_b = dense_from_bands(window, map_b)
+    assert same(a.matrix, dense_a)
+    assert same((a @ b).matrix, dense_a @ dense_b)
+    assert same((a @ b @ a.adjoint()).matrix, dense_a @ dense_b @ dense_a.conj().T)
+    assert same((a - b).matrix, dense_a - dense_b)
+    assert same(a.adjoint().matrix, dense_a.conj().T)
+    sites = slice(window - half, window + half + 1)
+    block = dense_a[sites, sites]
+    assert same(a.interior(half), block)
+    diagonals = a.interior_bands(half)
+    for d in range(-2 * half, 2 * half + 1):
+        expected = np.diagonal(block, -d)
+        assert same(diagonals.get(d, np.zeros_like(expected)), expected)
+    assert same(np.array(a.trace_interior(half)), np.trace(block))
+
+
+class TestBandAlgebraOracle:
+    """Band-map algebra against dense numpy on the oracle's matrices."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs(integer=True))
+    @example((2, {}, {}, 2))
+    @example((2, {4: 1, -4: 2, 5: 3, -7: 1}, {4: -1, 0: 1}, 1))
+    # (I + S)(I - S) = I - S^2: the product's band 1 cancels
+    @example((3, {0: 1, 1: 1}, {0: 1, 1: -1}, 3))
+    def test_integer_coefficients_exact(self, case):
+        check_band_algebra(*case, same=np.array_equal)
+
+    @settings(max_examples=150, deadline=None)
+    @given(operand_pairs(integer=False))
+    @example((1, {0: 0.5j, 3: 1.0, -3: 1.0}, {1: np.array([1j, -1.0, 0.5])}, 1))
+    def test_complex_coefficients_close(self, case):
+        def same(x, y):
+            return np.max(np.abs(x - y), initial=0.0) <= 1e-12
+
+        check_band_algebra(*case, same=same)
