@@ -66,10 +66,6 @@ class InsufficientDecayError(OpIndexError):
     """Perturbation profile lacks the decay needed for a tail bound."""
 
 
-class AssemblyError(OpIndexError):
-    """Internal consistency check of an assembled operator failed."""
-
-
 class IntegrationError(OpIndexError):
     """ODE stepping failed its accuracy self-test."""
 

@@ -12,6 +12,10 @@ eigenpairs inside a value window, which is all a heat weight exp(-t lambda^2)
 can see at large t.  And numpy and scipy each link their own OpenBLAS with
 its own thread pool; interleaving solves from one with work from the other
 is markedly slower on a small host than keeping every solve in one of them.
+
+Every singular value decomposition here uses one driver too, scipy's
+divide-and-conquer ``gesdd``; the QR-iteration ``gesvd`` is some twenty
+times slower on the suspension matrices.
 """
 
 from __future__ import annotations
@@ -122,6 +126,15 @@ def herm_eigvals(m) -> np.ndarray:
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
 
 
+def svd(m) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Factors (U, s, V^H) of a square m = U diag(s) V^H, s descending."""
+    a = as_square_matrix(m)
+    try:
+        return scipy.linalg.svd(a, check_finite=False)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
+        raise EigensolverError(f"svd failed to converge: {exc}") from exc
+
+
 def heat_operator(m, t: float, eig: EigenSystem | None = None) -> np.ndarray:
     """Heat semigroup element exp(-t M) for Hermitian M via eigenmodes.
 
@@ -148,6 +161,6 @@ def singular_values(m) -> np.ndarray:
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {a.shape}")
     try:
-        return np.linalg.svd(a, compute_uv=False)
+        return scipy.linalg.svd(a, compute_uv=False, check_finite=False)
     except np.linalg.LinAlgError as exc:  # pragma: no cover
         raise EigensolverError(f"svd failed to converge: {exc}") from exc

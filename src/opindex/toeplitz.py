@@ -207,11 +207,13 @@ class ShiftLatticeOperator:
                              codomain_character)
 
     @classmethod
-    def cutoff(cls, window: int, keep: Callable[[int], bool],
+    def cutoff(cls, window: int, keep: Callable[[np.ndarray], np.ndarray],
                character=None) -> "ShiftLatticeOperator":
-        """Diagonal projection keeping the sites where ``keep(site)`` holds."""
-        n = 2 * window + 1
-        kept = np.fromiter(map(keep, range(-window, window + 1)), dtype=bool, count=n)
+        """Diagonal projection keeping the sites where ``keep`` holds.
+
+        ``keep`` maps the array of sites -window .. window to a boolean mask.
+        """
+        kept = np.asarray(keep(np.arange(-window, window + 1)), dtype=bool)
         return cls(window, {0: kept.astype(complex)}, character, character)
 
     @classmethod
@@ -347,8 +349,8 @@ def paper_example_operators(n_interior: int) -> dict[str, ShiftLatticeOperator]:
     window = 3 * n_interior
     m = ShiftLatticeOperator.shift(window, +1)
     q = hardy_compression(window)
-    p1 = ShiftLatticeOperator.cutoff(window, lambda s: s >= 0 and s % 2 == 0, 0.0)
-    p2 = ShiftLatticeOperator.cutoff(window, lambda s: s >= 1 and s % 2 == 1, 0.5)
+    p1 = ShiftLatticeOperator.cutoff(window, lambda s: (s >= 0) & (s % 2 == 0), 0.0)
+    p2 = ShiftLatticeOperator.cutoff(window, lambda s: (s >= 1) & (s % 2 == 1), 0.5)
     return {"m": m, "m_adj": m.adjoint(), "q": q, "p1": p1, "p2": p2}
 
 

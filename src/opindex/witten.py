@@ -31,6 +31,10 @@ the second), and the reported trace runs over the rise half only, where it
 reproduces the line-model value; the fall half carries the compensating
 contribution.  This is the same finite-truncation obstruction that forces
 the defect-trace form of the shift-lattice index formula.
+
+Both heat generators come from one SVD D = U S V^H, as D D^H = U S^2 U^H
+and D^H D = V S^2 V^H; forming either Gram product would square the
+condition number of D.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 from scipy.integrate import quad
+from scipy.linalg import circulant
 from scipy.special import erf as _erf
 
 from .constants import (
@@ -53,13 +58,8 @@ from .constants import (
     THETA_TAIL_TOL,
     WITTEN_SIGN,
 )
-from .errors import (
-    AssemblyError,
-    DomainError,
-    InsufficientDecayError,
-    NonConvergenceError,
-)
-from .linalg import EigenSystem, herm_eig, herm_eigvals, require_hermitian
+from .errors import DomainError, InsufficientDecayError, NonConvergenceError
+from .linalg import herm_eig, herm_eigvals, require_hermitian, svd
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +98,11 @@ DEFAULT_GRID = GridSpec(half_width=40.0, points=1024)
 
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Dense operator over a grid (n*dim square), usually Hermitian."""
+    """Dense Hermitian operator over a grid (n*dim square)."""
 
     matrix: np.ndarray = field(repr=False)
     grid: GridSpec
     dim: int = 1
-    hermitian: bool = True
 
     def __post_init__(self):
         n = self.grid.points * self.dim
@@ -111,8 +110,18 @@ class LatticeOperator:
             raise DomainError(
                 f"matrix shape {self.matrix.shape} does not match grid size {n}"
             )
-        if self.hermitian:
-            require_hermitian(self.matrix, 1e-10)
+        require_hermitian(self.matrix, 1e-10)
+
+
+def _fourier_multiplier(grid: GridSpec, factor: complex) -> np.ndarray:
+    """The multiplier factor * k on the discrete plane waves exp(i k x).
+
+    k = m pi / L for m = -n/2 .. n/2 - 1.  The operator is circulant, so
+    entry (i, j) is col[(i - j) % n] with col the inverse FFT of the symbol.
+    """
+    n = grid.points
+    k = (np.arange(n) - n // 2) * (np.pi / grid.half_width)
+    return circulant(np.fft.ifft(np.fft.ifftshift(factor * k)))
 
 
 def discretize_dirac(grid: GridSpec, dim: int = 1) -> LatticeOperator:
@@ -122,26 +131,16 @@ def discretize_dirac(grid: GridSpec, dim: int = 1) -> LatticeOperator:
     eigenvalues the frequencies m pi / L for m = -n/2 .. n/2 - 1; the matrix
     is Hermitian by construction.
     """
-    n, length = grid.points, grid.half_width
-    x = grid.points_array()
-    freqs = np.arange(n) - n // 2
-    waves = np.exp(1j * np.pi * np.outer(x, freqs) / length) / np.sqrt(n)
-    lam = freqs * (np.pi / length)
-    mat = (waves * lam) @ waves.conj().T
+    mat = _fourier_multiplier(grid, 1.0)
     mat = 0.5 * (mat + mat.conj().T)
     if dim > 1:
         mat = np.kron(mat, np.eye(dim))
-    return LatticeOperator(matrix=mat, grid=grid, dim=dim, hermitian=True)
+    return LatticeOperator(matrix=mat, grid=grid, dim=dim)
 
 
 def spectral_time_derivative(grid: GridSpec) -> np.ndarray:
     """Skew-adjoint d/dt on the periodic grid, via the same plane waves."""
-    n, length = grid.points, grid.half_width
-    x = grid.points_array()
-    freqs = np.arange(n) - n // 2
-    waves = np.exp(1j * np.pi * np.outer(x, freqs) / length) / np.sqrt(n)
-    lam = 1j * freqs * (np.pi / length)
-    mat = (waves * lam) @ waves.conj().T
+    mat = _fourier_multiplier(grid, 1j)
     return 0.5 * (mat - mat.conj().T)
 
 
@@ -484,35 +483,22 @@ def build_suspension(
 
 @dataclass(frozen=True)
 class SuspensionSpectrum:
-    """Eigenvalues of D D^H and D^H D with their window row masses."""
+    """s^2 of D = U diag(s) V^H, the spectrum of both D D^H = U s^2 U^H and
+    D^H D = V s^2 V^H, with the window row masses of the columns of U and V."""
 
-    left_values: np.ndarray
+    values: np.ndarray
     left_window_mass: np.ndarray
-    right_values: np.ndarray
     right_window_mass: np.ndarray
 
 
 def suspension_spectrum(d: SuspensionOperator) -> SuspensionSpectrum:
-    """Diagonalise both heat generators once; everything per-t is cheap after."""
-    m = d.matrix
-    left = m @ m.conj().T
-    right = m.conj().T @ m
-    for name, h in (("D D*", left), ("D* D", right)):
-        scale = max(float(np.max(np.abs(h))), 1e-300)
-        defect = float(np.max(np.abs(h - h.conj().T))) / scale
-        if defect > 1e-6:
-            raise AssemblyError(f"{name} lost Hermiticity: defect {defect:.2e}")
+    """One SVD of D serves both heat generators; everything per-t is cheap after."""
+    u, s, vh = svd(d.matrix)
     mask = d.window_mask
-    out = {}
-    for key, h in (("left", left), ("right", right)):
-        es: EigenSystem = herm_eig(0.5 * (h + h.conj().T), check=False)
-        mass = np.sum(np.abs(es.vectors[mask, :]) ** 2, axis=0)
-        out[key] = (np.maximum(es.values, 0.0), mass)
     return SuspensionSpectrum(
-        left_values=out["left"][0],
-        left_window_mass=out["left"][1],
-        right_values=out["right"][0],
-        right_window_mass=out["right"][1],
+        values=s * s,
+        left_window_mass=np.sum(np.abs(u[mask, :]) ** 2, axis=0),
+        right_window_mass=np.sum(np.abs(vh[:, mask]) ** 2, axis=1),
     )
 
 
@@ -531,9 +517,8 @@ def ptf_lhs(
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
     sp = spectrum if spectrum is not None else suspension_spectrum(d)
-    right = float(np.sum(np.exp(-t * sp.right_values) * sp.right_window_mass))
-    left = float(np.sum(np.exp(-t * sp.left_values) * sp.left_window_mass))
-    return WITTEN_SIGN * (right - left)
+    mass = sp.right_window_mass - sp.left_window_mass
+    return WITTEN_SIGN * float(np.sum(np.exp(-t * sp.values) * mass))
 
 
 # ---------------------------------------------------------------------------
@@ -574,7 +559,6 @@ def check_composition(
         matrix=a1.matrix + multiplication_operator(b1, a1.grid),
         grid=a1.grid,
         dim=a1.dim,
-        hermitian=True,
     )
     est = (
         witten_index_estimate(a1, b1, t_schedule),

@@ -11,6 +11,7 @@ from opindex.linalg import (
     herm_eig,
     herm_eigvals,
     singular_values,
+    svd,
     trace,
 )
 
@@ -170,6 +171,15 @@ class TestSingularValues:
     def test_descending(self):
         s = singular_values(random_hermitian(15, seed=1))
         assert np.all(np.diff(s) <= 1e-12)
+
+    def test_factors_reconstruct(self):
+        rng = np.random.default_rng(17)
+        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+        u, s, vh = svd(m)
+        assert np.max(np.abs((u * s) @ vh - m)) <= 1e-12 * s[0]
+        for q in (u, vh):
+            assert np.max(np.abs(q.conj().T @ q - np.eye(12))) <= 1e-12
+        assert np.max(np.abs(s - singular_values(m))) <= 1e-12 * s[0]
 
 
 def test_eigen_system_named_fields():

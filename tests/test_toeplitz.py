@@ -55,7 +55,7 @@ class TestHalfShiftExample:
         # the remaining product loses exactly the lowest mode
         lhs = (p1 @ m @ p2 @ m.adjoint() @ p1).interior(n)
         tail = ShiftLatticeOperator.cutoff(
-            3 * n, lambda s: s >= 2 and s % 2 == 0
+            3 * n, lambda s: (s >= 2) & (s % 2 == 0)
         ).interior(n)
         assert np.array_equal(lhs, tail)
 

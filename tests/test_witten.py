@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opindex import witten
 from opindex.errors import (
     DomainError,
     InsufficientDecayError,
@@ -298,14 +299,35 @@ class TestSuspension:
         )
         assert np.max(np.abs(sus.matrix.conj().T - independent)) <= 1e-10
 
-    def test_full_trace_difference_vanishes(self, small_suspension):
-        # guard: DD* and D*D are isospectral for square matrices, which is
-        # why the reported trace runs over the rise window only
-        _, _, _, spectrum = small_suspension
-        full = np.sum(np.exp(-1.0 * spectrum.right_values)) - np.sum(
-            np.exp(-1.0 * spectrum.left_values)
+    @pytest.mark.parametrize(
+        "bump",
+        [PerturbationProfile.lorentzian(1.0), PerturbationProfile.zero()],
+        ids=["lorentzian", "zero"],
+    )
+    def test_values_match_both_gram_spectra(self, bump):
+        # DD* and D*D are isospectral for square matrices, which is why the
+        # reported trace runs over the rise window only; the one SVD gives
+        # that common spectrum without forming either product
+        sus = build_suspension(
+            discretize_dirac(self.X_GRID), bump, ThetaProfile.logistic(),
+            self.T_GRID, self.X_GRID,
         )
-        assert abs(full) <= 1e-8
+        values = np.sort(suspension_spectrum(sus).values)
+        m = sus.matrix
+        for gram in (m.conj().T @ m, m @ m.conj().T):
+            oracle = np.linalg.eigvalsh(gram)
+            assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(oracle)
+
+    def test_spectrum_needs_no_eigensolve(self, small_suspension, monkeypatch):
+        _, _, sus, spectrum = small_suspension
+
+        def no_eigensolve(*args, **kwargs):
+            raise AssertionError("suspension_spectrum called herm_eig")
+
+        monkeypatch.setattr(witten, "herm_eig", no_eigensolve)
+        again = suspension_spectrum(sus)
+        scale = np.max(spectrum.values)
+        assert np.max(np.abs(again.values - spectrum.values)) <= 1e-12 * scale
 
     def test_window_trace_matches_numpy_oracle(self, small_suspension):
         _, _, sus, spectrum = small_suspension
@@ -460,4 +482,4 @@ class TestLatticeOperator:
         bad = np.zeros((SMALL_GRID.points, SMALL_GRID.points), dtype=complex)
         bad[0, 1] = 1.0
         with pytest.raises(Exception):
-            LatticeOperator(matrix=bad, grid=SMALL_GRID, hermitian=True)
+            LatticeOperator(matrix=bad, grid=SMALL_GRID)
