@@ -15,6 +15,11 @@ HERMITIAN_REL_TOL = 1e-12       # max|M - M^H| <= tol * max|M| on construction
 EIG_RECONSTRUCT_REL_TOL = 1e-10  # max|M - V L V^H| <= tol * max|M|
 ORTHONORMAL_TOL = 1e-10          # column orthonormality of eigenvector bases
 
+# --- memory -----------------------------------------------------------------
+# Dense complex operators are refused before allocation, with a DomainError
+# (exit 2), when their copies held at once would need more than this.
+DENSE_BUDGET_BYTES = 2 * 2**30
+
 # --- shift-lattice / Toeplitz ---------------------------------------------
 SVD_RANK_TOL = 1e-7              # singular values below this count as zero
 SUPPORT_TOL = 1e-12              # entries below tol*max count as structural zeros

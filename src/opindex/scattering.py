@@ -1,12 +1,15 @@
 """1D Schrodinger scattering: S-matrices, bound states, phase winding.
 
 Units are hbar = 2m = 1, so the free Hamiltonian is -d^2/dx^2 and energy is
-k^2.  Scattering matrices are assembled from transfer matrices computed by
-composing exact constant-coefficient slab propagators at a fixed step; each
-slab factor conserves flux exactly, so unitarity of the emitted S(k) holds
-to rounding for every k and every step size, and the method is exact for
-piecewise-constant wells.  A classical fixed-step RK4 integration of the
-same ODE serves as an independent cross-check in the test suite.
+k^2.  Scattering matrices are assembled from transfer matrices of the
+midpoint-sampled, piecewise-constant potential on a fixed step: each run of
+equal sampled values is one slab of constant coefficient, composed through
+its exact propagator over the whole run.  Each slab factor conserves flux
+exactly, so unitarity of the emitted S(k) holds to rounding for every k and
+every step size, and the method is exact for piecewise-constant wells,
+whose sweep costs one propagator per piece whatever the step.  A classical
+fixed-step RK4 integration of the same ODE and the unmerged slab-by-slab
+sweep serve as independent cross-checks in the test suite.
 
 S-matrix layout: S(k) = [[t, r_minus], [r_plus, t]] mapping the incoming
 amplitude pair (from the left, from the right) to the outgoing pair (to the
@@ -107,6 +110,11 @@ class Potential:
 # transfer matrices
 
 
+def _det2(m: np.ndarray) -> np.ndarray:
+    """Determinants of a stack of 2x2 matrices, a d - b c."""
+    return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
+
+
 def _slab_propagators(q: np.ndarray, h: float) -> np.ndarray:
     """Exact (psi, psi') propagators over one slab of constant q^2, batched.
 
@@ -148,6 +156,12 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.nda
     Relates the plane-wave amplitude pairs on the left to those on the
     right: (A_right, B_right) = T (A_left, B_left).  det T = 1 up to
     rounding for every k.
+
+    The support [-a, a] is cut into slabs of width about ``step`` and V is
+    sampled at each slab midpoint.  Each run of equal midpoint values is one
+    slab of constant q^2 = k^2 - V, whose exact propagator over the whole
+    run equals the product of its per-slab propagators, so a square well is
+    three slabs (free, well, free) at any step.
     """
     k = np.asarray(k, dtype=float)
     if np.any(k <= 0):
@@ -157,23 +171,31 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.nda
     h_in = 2.0 * a / n_in
     mids = -a + h_in * (np.arange(n_in) + 0.5)
     v_mid = np.asarray(v.evaluator(mids), dtype=float)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(v_mid)) + 1))
+    counts = np.diff(starts, append=n_in)
 
     k2 = k * k
     # outer stretches are free, one exact slab each
     chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
-    for vm in v_mid:
+    for vm, count in zip(v_mid[starts], counts):
         q = np.sqrt(k2 - vm + 0j)
-        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, h_in), chain)
+        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, count * h_in), chain)
     chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
 
     frame_left, _ = _amplitude_frames(-a - 1.0, k)
     _, inv_right = _amplitude_frames(a + 1.0, k)
     t_mats = np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
 
-    dets = t_mats[:, 0, 0] * t_mats[:, 1, 1] - t_mats[:, 0, 1] * t_mats[:, 1, 0]
-    worst = float(np.max(np.abs(dets - 1.0)))
+    drift = np.abs(_det2(t_mats) - 1.0)
+    worst = float(np.max(drift))
     if worst > TRANSFER_DET_TOL:
-        raise IntegrationError(f"det T drifted by {worst:.2e}; reduce the step")
+        at = int(np.argmax(drift))
+        size = float(np.max(np.abs(t_mats[at])))
+        raise IntegrationError(
+            f"det T drifted by {worst:.2e} at k = {k[at]:.3g}, where max|T| = "
+            f"{size:.3g}; rounding alone leaves |T|^2 eps = "
+            f"{size * size * np.finfo(float).eps:.1e} in T00 T11 - T01 T10"
+        )
     return t_mats
 
 
@@ -222,8 +244,7 @@ class ScatteringCurve:
     step: float
 
     def det(self) -> np.ndarray:
-        s = self.s_matrices
-        return s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0]
+        return _det2(self.s_matrices)
 
     def transmission(self) -> np.ndarray:
         return self.s_matrices[:, 0, 0]
@@ -257,7 +278,7 @@ def scattering_matrix(
 
     for _ in range(12):
         s = _s_from_transfer(transfer_matrices(v, k, step))
-        args = np.angle(s[:, 0, 0] * s[:, 1, 1] - s[:, 0, 1] * s[:, 1, 0])
+        args = np.angle(_det2(s))
         incr = np.abs((np.diff(args) + np.pi) % (2 * np.pi) - np.pi)
         bad = np.nonzero(incr > np.pi / 4)[0]
         if len(bad) == 0:
@@ -296,15 +317,17 @@ def _dirichlet_negative_count(v: Potential, half_width: float, n: int) -> int:
     x = -half_width + h * np.arange(1, n)
     diag = 2.0 / (h * h) + np.asarray(v.evaluator(x), dtype=float)
     off2 = (1.0 / (h * h)) ** 2
-    count = 0
-    q = diag[0]
-    if q < 0:
-        count += 1
     tiny = 1e-300
-    for i in range(1, len(diag)):
+    count = 0
+    # an infinite previous pivot makes the first pivot diag[0]; iterating a
+    # memoryview yields Python floats, which this loop runs through about
+    # 2.7 times faster than numpy scalars; with Python floats a zero pivot
+    # would raise ZeroDivisionError without the tiny guard
+    q = math.inf
+    for d in memoryview(diag):
         if q == 0.0:
             q = tiny
-        q = diag[i] - off2 / q
+        q = d - off2 / q
         if q < 0:
             count += 1
     return count
@@ -760,18 +783,18 @@ def corrected_index(lcurve: LambdaCurve, sigma: SigmaFactor) -> CorrectedIndexRe
         )
     sig = np.array([sigma.evaluator(l) for l in lcurve.lam])
     m = np.einsum("kij,klj->kil", lcurve.s_matrices, sig.conj())
-    dets = m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0]
+    dets = _det2(m)
     # The sigma factor converges only like 1/lambda, so the determinant path
     # is continued analytically beyond the sampled window: out there S sits
     # at its (unitary) limit up to exponentially small terms and
     # det(S sigma^*) = det(limit) * conj(det sigma), a closed form.
-    det_lo = np.linalg.det(lcurve.s_minus_inf)
-    det_hi = np.linalg.det(lcurve.s_plus_inf)
+    det_lo = _det2(lcurve.s_minus_inf)
+    det_hi = _det2(lcurve.s_plus_inf)
     tail_lo = -np.geomspace(1e9, abs(lcurve.lam[0]), 200)
     tail_hi = np.geomspace(lcurve.lam[-1], 1e9, 200)
 
     def det_sigma(lam):
-        return np.array([np.linalg.det(sigma.evaluator(l)) for l in lam])
+        return _det2(np.array([sigma.evaluator(l) for l in lam]))
 
     closed = np.concatenate([
         det_lo * det_sigma(tail_lo).conj(),
@@ -786,11 +809,7 @@ def corrected_index(lcurve: LambdaCurve, sigma: SigmaFactor) -> CorrectedIndexRe
             f"corrected-symbol winding {winding:.6f} is not close to an integer"
         )
 
-    dets_s = (
-        lcurve.s_matrices[:, 0, 0] * lcurve.s_matrices[:, 1, 1]
-        - lcurve.s_matrices[:, 0, 1] * lcurve.s_matrices[:, 1, 0]
-    )
-    phi_s = _unwrapped_args(dets_s)
+    phi_s = _unwrapped_args(_det2(lcurve.s_matrices))
     w_scattering = WINDING_SIGN * (phi_s[-1] - phi_s[0]) / (2.0 * np.pi)
     w_sigma = witten_index_sigma(sigma)
     return CorrectedIndexReport(

@@ -51,6 +51,7 @@ from scipy.special import erf as _erf
 from .constants import (
     CLOSED_FORM_ABS_TOL,
     DECAY_CERT_MAX,
+    DENSE_BUDGET_BYTES,
     HEAT_TAIL_ABS_TOL,
     PLATEAU_DIFF_TOL,
     PLATEAU_MIN_SAMPLES,
@@ -113,6 +114,16 @@ class LatticeOperator:
         require_hermitian(self.matrix, 1e-10)
 
 
+def _require_dense_budget(rows: int, copies: int, what: str) -> None:
+    """Refuse ``copies`` dense complex rows x rows matrices over the budget."""
+    need = copies * rows * rows * np.dtype(complex).itemsize
+    if need > DENSE_BUDGET_BYTES:
+        raise DomainError(
+            f"{what} needs {need / 2**30:.3g} GiB ({copies} x {rows}^2 complex "
+            f"entries), above the {DENSE_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
+
+
 def _fourier_multiplier(grid: GridSpec, factor: complex) -> np.ndarray:
     """The multiplier factor * k on the discrete plane waves exp(i k x).
 
@@ -131,6 +142,7 @@ def discretize_dirac(grid: GridSpec, dim: int = 1) -> LatticeOperator:
     eigenvalues the frequencies m pi / L for m = -n/2 .. n/2 - 1; the matrix
     is Hermitian by construction.
     """
+    _require_dense_budget(grid.points * dim, 1, "the Dirac operator")
     mat = _fourier_multiplier(grid, 1.0)
     mat = 0.5 * (mat + mat.conj().T)
     if dim > 1:
@@ -216,6 +228,7 @@ class PerturbationProfile:
 def multiplication_operator(profile: PerturbationProfile, grid: GridSpec) -> np.ndarray:
     """Block-diagonal matrix of the bump sampled on the grid."""
     n, d = grid.points, profile.dim
+    _require_dense_budget(n * d, 1, "the multiplication operator")
     out = np.zeros((n * d, n * d), dtype=complex)
     for i, x in enumerate(grid.points_array()):
         out[i * d:(i + 1) * d, i * d:(i + 1) * d] = profile.value(float(x))
@@ -450,6 +463,10 @@ def build_suspension(
     """
     if a1.grid != x_grid:
         raise DomainError("base operator grid does not match the x grid")
+    n_x = x_grid.points * b.dim
+    # the SVD holds the most at once: D, LAPACK's working copy of it, U, V^H
+    # and the gesdd workspace, measured at 6.5 dense copies on 48 x 48
+    _require_dense_budget(t_grid.points * n_x, 7, "the suspension and its SVD")
     half = t_grid.half_width
     ends = np.asarray(theta.evaluator(np.array([-half, half])), dtype=float)
     tol = max(theta.tail_tol, THETA_TAIL_TOL)
@@ -463,7 +480,6 @@ def build_suspension(
         theta.evaluator(t + half / 2.0) - theta.evaluator(t - half / 2.0), dtype=float
     )
     d_t = spectral_time_derivative(t_grid)
-    n_x = x_grid.points * b.dim
     b_mat = multiplication_operator(b, x_grid)
     mat = (
         np.kron(d_t, np.eye(n_x))

@@ -2,14 +2,17 @@
 
 Each function here recomputes a quantity by a route structurally different
 from the library implementation: series/Pade matrix exponentials, RK4 ODE
-stepping, analytic two-interface matching, transcendental root counting,
-Gauss-Legendre quadrature of the heat-trace s-integral over the full
-spectrum, suspension traces from numpy's own LAPACK, and dense matrices of
-shift-lattice band maps assembled entry by entry.
+stepping, the slab-by-slab transfer sweep, analytic two-interface matching,
+transcendental root counting, Gauss-Legendre quadrature of the heat-trace
+s-integral over the full spectrum, suspension traces from numpy's own
+LAPACK, and dense matrices of shift-lattice band maps assembled entry by
+entry.
 """
 
 import numpy as np
 from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
+
+from opindex.scattering import _amplitude_frames, _slab_propagators
 
 
 def taylor_expm(m: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -86,6 +89,29 @@ def rk4_transfer(v, k: float, step: float = 0.002) -> np.ndarray:
         return np.array([[ep, em], [1j * k * ep, -1j * k * em]])
 
     return np.linalg.solve(frame(x1), y @ frame(x0))
+
+
+def transfer_matrices_slabwise(v, k: np.ndarray, step: float = 0.01) -> np.ndarray:
+    """Transfer matrices by one propagator per midpoint slab, no run merging.
+
+    The sweep the library ran before it merged runs of equal midpoint
+    values: the same slab grid, each slab composed on its own, in the same
+    left-to-right order.
+    """
+    k = np.asarray(k, dtype=float)
+    a = v.support_radius
+    n_in = max(2, int(round(2.0 * a / step)))
+    h_in = 2.0 * a / n_in
+    v_mid = np.asarray(v.evaluator(-a + h_in * (np.arange(n_in) + 0.5)), dtype=float)
+    k2 = k * k
+    chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
+    for vm in v_mid:
+        q = np.sqrt(k2 - vm + 0j)
+        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, h_in), chain)
+    chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
+    frame_left, _ = _amplitude_frames(-a - 1.0, k)
+    _, inv_right = _amplitude_frames(a + 1.0, k)
+    return np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
 
 
 def square_well_bound_count(depth: float, half_width: float = 1.0) -> int:

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opindex import toeplitz
+from opindex import scattering, toeplitz, witten
 from opindex.cli import ResultRecord, main, parse_config, run
 
 
@@ -154,6 +154,31 @@ class TestExitCodes:
         record, code = run(parse_config(["witten-estimate", "--points", "257"]))
         assert code == 2
         assert record.results["error_kind"] == "usage"
+
+    def test_integration_error_exits_1(self, monkeypatch):
+        # every transfer sweep leaves some rounding drift in det T
+        monkeypatch.setattr(scattering, "TRANSFER_DET_TOL", 0.0)
+        record, code = run(parse_config(["levinson"]))
+        assert code == 1
+        assert record.results["error_kind"] == "IntegrationError"
+        assert "at k = " in record.results["error"]
+
+    @pytest.mark.parametrize("argv, first_allocation", [
+        # 160000 suspension rows: 7 dense copies of 410 GB each
+        (["ptf-check", "--nt", "400", "--nx", "400"], "spectral_time_derivative"),
+        # a 65536-point Dirac operator alone is a 69 GB dense matrix
+        (["compose-check", "--points", "65536"], "circulant"),
+    ], ids=["ptf-check", "compose-check"])
+    def test_over_memory_budget_exits_2(self, monkeypatch, argv, first_allocation):
+        # the guard must refuse before the first dense allocation is reached
+        def allocates(*args):
+            raise AssertionError(f"{first_allocation} reached past the memory guard")
+
+        monkeypatch.setattr(witten, first_allocation, allocates)
+        record, code = run(parse_config(argv))
+        assert code == 2
+        assert record.results["error_kind"] == "usage"
+        assert "budget" in record.results["error"]
 
     def test_main_writes_file(self, tmp_path, capsys):
         out = tmp_path / "record.json"

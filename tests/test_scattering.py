@@ -11,6 +11,7 @@ from opindex.errors import (
 )
 from opindex.scattering import (
     Potential,
+    _dirichlet_negative_count,
     bound_states,
     build_sigma,
     corrected_index,
@@ -32,6 +33,7 @@ from oracles import (
     square_well_bound_count,
     square_well_transfer,
     square_well_transmission_sq,
+    transfer_matrices_slabwise,
 )
 
 WELL = Potential.square_well(2.0, 1.0)
@@ -84,6 +86,82 @@ class TestTransferMatrix:
         ])
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) <= 1e-8
         assert abs(s[0, 0] - s[1, 1]) <= 1e-8  # transmission reciprocity
+
+
+class TestMergedSweep:
+    """One slab per run of equal midpoint values against the per-slab sweep."""
+
+    K = np.geomspace(1e-3, 2000.0, 200)
+
+    @staticmethod
+    def rel_gap(t, reference):
+        scale = np.max(np.abs(reference), axis=(1, 2))
+        return float(np.max(np.max(np.abs(t - reference), axis=(1, 2)) / scale))
+
+    @pytest.mark.parametrize("depth", [0.5, 2.0, 25.0, 60.0])
+    def test_square_well_matches_slabwise_and_analytic(self, depth):
+        well = Potential.square_well(depth, 1.0)
+        ours = transfer_matrices(well, self.K)
+        analytic = np.array([square_well_transfer(depth, 1.0, k) for k in self.K])
+        assert self.rel_gap(ours, transfer_matrices_slabwise(well, self.K)) <= 1e-12
+        assert self.rel_gap(ours, analytic) <= 1e-12
+
+    def test_two_level_step_matches_slabwise(self):
+        # runs of 80 and 120 slabs, one attractive and one repulsive, so both
+        # oscillating and evanescent slab propagators are merged
+        def step_v(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) < 1.0, np.where(x < -0.2, -3.0, 2.0), 0.0)
+
+        step = Potential(evaluator=step_v, support_radius=1.0)
+        ours = transfer_matrices(step, self.K)
+        assert self.rel_gap(ours, transfer_matrices_slabwise(step, self.K)) <= 1e-12
+
+    def test_smooth_potential_is_bitwise_slabwise(self):
+        # no two neighbouring midpoints share a value, so nothing merges and
+        # the product runs in the per-slab order
+        def tilted_bump(x):
+            x = np.asarray(x, dtype=float)
+            bump = -1.5 * np.cos(np.pi * x / 2.0) ** 2 * (1.0 + 0.3 * x)
+            return np.where(np.abs(x) < 1.0, bump, 0.0)
+
+        smooth = Potential(evaluator=tilted_bump, support_radius=1.0)
+        mids = -1.0 + 0.01 * (np.arange(200) + 0.5)
+        assert np.all(np.diff(tilted_bump(mids)) != 0.0)
+        assert np.array_equal(
+            transfer_matrices(smooth, self.K),
+            transfer_matrices_slabwise(smooth, self.K),
+        )
+
+
+class TestSturmCount:
+    @staticmethod
+    def dense_negative_count(v, half_width, n):
+        h = 2.0 * half_width / n
+        x = -half_width + h * np.arange(1, n)
+        off = np.full(n - 2, -1.0 / (h * h))
+        ham = np.diag(2.0 / (h * h) + v.evaluator(x))
+        ham += np.diag(off, 1) + np.diag(off, -1)
+        return int(np.count_nonzero(np.linalg.eigvalsh(ham) < 0))
+
+    @pytest.mark.parametrize("depth, half_width, n", [
+        (0.5, 5.0, 64), (2.0, 5.0, 100), (25.0, 6.0, 160), (60.0, 5.0, 256),
+    ])
+    def test_matches_dense_eigvalsh(self, depth, half_width, n):
+        well = Potential.square_well(depth, 1.0)
+        count = _dirichlet_negative_count(well, half_width, n)
+        assert count == self.dense_negative_count(well, half_width, n)
+        assert count >= 1
+
+    def test_zero_pivot_guard(self):
+        # h = 1 and V = -1 at all 7 sites make every diagonal entry and the
+        # squared off-diagonal 1, so the second pivot 1 - 1/1 is exactly 0
+        flat = Potential(
+            evaluator=lambda x: np.where(np.abs(np.asarray(x)) < 3.5, -1.0, 0.0),
+            support_radius=3.5,
+        )
+        count = _dirichlet_negative_count(flat, 4.0, 8)
+        assert count == self.dense_negative_count(flat, 4.0, 8) == 2
 
 
 class TestScatteringCurve:
