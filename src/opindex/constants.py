@@ -14,6 +14,7 @@ import numpy as np
 HERMITIAN_REL_TOL = 1e-12       # max|M - M^H| <= tol * max|M| on construction
 EIG_RECONSTRUCT_REL_TOL = 1e-10  # max|M - V L V^H| <= tol * max|M|
 ORTHONORMAL_TOL = 1e-10          # column orthonormality of eigenvector bases
+INPUT_HERMITIAN_REL_TOL = 1e-10  # lattice operators and profile values built by callers
 
 # --- memory -----------------------------------------------------------------
 # Dense complex operators are refused before allocation, with a DomainError
@@ -37,6 +38,8 @@ WITTEN_SIGN = +1
 PLATEAU_DIFF_TOL = 5e-3          # consecutive plateau samples may differ by this
 PLATEAU_MIN_SAMPLES = 5          # a plateau window must contain at least this many
 THETA_TAIL_TOL = 1e-6            # connection profile must be this close to 0/1 at ends
+THETA_MONOTONE_TOL = 1e-12       # largest decrease between grid samples of a rising profile
+THETA_VARIATION_TOL = 1e-6       # total variation may exceed 1 by at most this
 T_CEILING_FACTOR = 0.25          # max usable t = factor * (L/pi)^2 on an L-grid
 DECAY_CERT_MAX = 1e3             # sup |phi(x)| (1+x^2) beyond this means no decay
 CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form integral
@@ -46,6 +49,10 @@ CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form int
 # Cauchy-Schwarz the dropped pairs add at most exp(-t c^2) sum_xy |B_xy| to
 # tr(exp(-t A_s^2) B).
 HEAT_TAIL_ABS_TOL = 1e-18
+# A grid operator is solved as a real symmetric matrix when its form in the
+# basis fixed by (Kf)_j = conj f_{(n-j) mod n} has an imaginary part below
+# this, relative to max|M|; exactly K-symmetric operators read 0 or ~1e-17.
+K_REAL_REL_TOL = 1e-14
 
 # --- scattering -------------------------------------------------------------
 S_UNITARITY_TOL = 1e-8           # max|S^H S - 1| per emitted scattering matrix

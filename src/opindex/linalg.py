@@ -1,10 +1,16 @@
-"""Dense complex linear-algebra kernels shared by every other module.
+"""Dense linear-algebra kernels shared by every other module.
 
 All operators in scope are small enough (a few thousand rows) for dense
 LAPACK routines, and every exponentiated operator is Hermitian, so matrix
 exponentials are computed exclusively through the eigendecomposition.  That
 makes the semigroup property exact up to rounding and keeps the large-t
 behaviour trivially correct.
+
+Inputs keep their field: a real matrix stays float64 and reaches LAPACK's
+real routines (``dsyevr`` for a symmetric eigensolve, about a quarter of the
+flops of the complex ``zheevr``), and only complex input is solved in
+complex arithmetic.  Integer and single-precision input is widened to
+float64 or complex128.
 
 Every Hermitian eigensolve goes through one LAPACK driver, scipy's MRRR
 ``evr`` (Dhillon-Parlett-Voemel), for two reasons.  It can return only the
@@ -33,9 +39,15 @@ from .constants import (
 from .errors import DomainError, EigensolverError, HermitianityError, ShapeError
 
 
+def _widened(m) -> np.ndarray:
+    """``m`` as a float64 array, or complex128 if it is complex."""
+    a = np.asarray(m)
+    return a.astype(np.result_type(a.dtype, np.float64), copy=False)
+
+
 def as_square_matrix(m) -> np.ndarray:
-    """Coerce to a complex 2-d square array, raising ShapeError otherwise."""
-    a = np.asarray(m, dtype=complex)
+    """Coerce to a float64 or complex128 square array, raising ShapeError otherwise."""
+    a = _widened(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
     return a
@@ -157,7 +169,7 @@ def trace(m) -> complex:
 
 def singular_values(m) -> np.ndarray:
     """Singular values in descending order (length min(rows, cols))."""
-    a = np.asarray(m, dtype=complex)
+    a = _widened(m)
     if a.ndim != 2:
         raise ShapeError(f"expected a 2-d array, got shape {a.shape}")
     try:

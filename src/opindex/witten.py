@@ -22,6 +22,19 @@ eigenvalues of the two endpoints alone.  The s-quadrature survives only in
 ``path_splitting_check``, which tests the trace-derivative formula along the
 path, and as an independent oracle in the test suite.
 
+Both of those routes solve real symmetric eigenproblems whenever they can.
+The discretised d/(i dx) commutes exactly with the antiunitary
+(Kf)_j = conj f_{(n-j) mod n}, parity on the periodic grid followed by
+complex conjugation, and a bump commutes with it when Phi(-x) = conj Phi(x),
+as every real even profile does (the Lorentzians among them).  An operator
+that commutes with K is real in the orthonormal basis that K fixes (Dyson's
+threefold way), so ``_real_form`` pairs sites j and n - j by slices, keeps
+the real part when the imaginary part is at rounding level, and LAPACK's
+real ``dsyevr`` does the solve for about a quarter of the complex flops.
+That measured test is the only switch: a profile without the symmetry,
+such as an odd off-diagonal coupling, is solved in complex arithmetic as
+before.
+
 For the suspension route note that tr f(D D^H) = tr f(D^H D) identically for
 every *square* matrix D, so a full trace of the heat difference on a finite
 product grid is exactly zero and carries no information.  The suspension is
@@ -53,10 +66,14 @@ from .constants import (
     DECAY_CERT_MAX,
     DENSE_BUDGET_BYTES,
     HEAT_TAIL_ABS_TOL,
+    INPUT_HERMITIAN_REL_TOL,
+    K_REAL_REL_TOL,
     PLATEAU_DIFF_TOL,
     PLATEAU_MIN_SAMPLES,
     T_CEILING_FACTOR,
+    THETA_MONOTONE_TOL,
     THETA_TAIL_TOL,
+    THETA_VARIATION_TOL,
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
@@ -111,7 +128,7 @@ class LatticeOperator:
             raise DomainError(
                 f"matrix shape {self.matrix.shape} does not match grid size {n}"
             )
-        require_hermitian(self.matrix, 1e-10)
+        require_hermitian(self.matrix, INPUT_HERMITIAN_REL_TOL)
 
 
 def _require_dense_budget(rows: int, copies: int, what: str) -> None:
@@ -181,7 +198,7 @@ class PerturbationProfile:
         for x in probe[:: len(probe) // 200]:
             v = self.value(float(x))
             herm = float(np.max(np.abs(v - v.conj().T)))
-            if herm > 1e-10 * max(1.0, float(np.max(np.abs(v)))):
+            if herm > INPUT_HERMITIAN_REL_TOL * max(1.0, float(np.max(np.abs(v)))):
                 raise DomainError(f"profile value at x={x} is not Hermitian")
         for x in probe:
             v = self.value(float(x))
@@ -236,6 +253,65 @@ def multiplication_operator(profile: PerturbationProfile, grid: GridSpec) -> np.
 
 
 # ---------------------------------------------------------------------------
+# the K-real form of grid operators
+
+
+def _pair_rows(x: np.ndarray, out: np.ndarray, points: int, dim: int,
+               sin_phase: complex) -> None:
+    """Write Q^T x (sin_phase = 1j) or Q^H x (sin_phase = -1j) into ``out``.
+
+    The rows of ``out`` follow the columns of Q: sites 0 and n/2, then
+    (e_j + e_{n-j})/sqrt 2 and i (e_j - e_{n-j})/sqrt 2 for j = 1 .. n/2 - 1,
+    each with the dim components of a site.  ``x`` and ``out`` may be
+    transposed views; numpy then walks both in memory order.
+    """
+    m = points // 2
+    sites = x.reshape(points, dim, -1)
+    paired = out.reshape(sites.shape, copy=False)
+    paired[0], paired[1] = sites[0], sites[m]
+    cos, sin = paired[2:m + 1], paired[m + 1:]
+    lo, hi = sites[1:m], sites[points - 1:m:-1]
+    np.add(lo, hi, out=cos)
+    cos *= np.sqrt(0.5)
+    np.subtract(lo, hi, out=sin)
+    sin *= sin_phase * np.sqrt(0.5)
+
+
+def _real_form(matrix: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray | None:
+    """Q^H M Q for the unitary Q whose columns K fixes, if that is real.
+
+    K is the antiunitary (Kf)_j = conj f_{(n-j) mod n}; Q is described in
+    ``_pair_rows``.  Q^H M Q is real exactly when M commutes with K, so the
+    real part is returned when the imaginary part is below K_REAL_REL_TOL
+    max|M|, and None otherwise.  O(n^2): rows and columns are paired by
+    slices, with no matrix product.
+    """
+    n = grid.points
+    cols = np.empty(matrix.shape, dtype=complex)
+    _pair_rows(matrix.T, cols.T, n, dim, 1j)  # M Q = (Q^T M^T)^T
+    form = np.empty(matrix.shape, dtype=complex)
+    _pair_rows(cols, form, n, dim, -1j)
+    del cols  # one complex n x n buffer fewer while the real copy is made
+    scale = max(float(np.max(np.abs(matrix))), 1e-300)
+    if np.max(np.abs(form.imag)) > K_REAL_REL_TOL * scale:
+        return None
+    return np.ascontiguousarray(form.real)
+
+
+def _from_real_form(w: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray:
+    """Q w: columns of K-basis coefficients as site-major vectors, O(n k)."""
+    n, m = grid.points, grid.points // 2
+    coeff = w.reshape(n, dim, -1)
+    cos, sin = coeff[2:m + 1], 1j * coeff[m + 1:]
+    out = np.empty(coeff.shape, dtype=complex)
+    out[0], out[m] = coeff[0], coeff[1]
+    r = np.sqrt(0.5)
+    out[1:m] = r * (cos + sin)
+    out[n - 1:m:-1] = r * (cos - sin)
+    return out.reshape(n * dim, -1)
+
+
+# ---------------------------------------------------------------------------
 # heat-trace side
 
 
@@ -251,8 +327,12 @@ def _heat_trace_curve(
     b_mat = multiplication_operator(b, a1.grid)
     if not np.any(b_mat):
         return np.zeros(len(times))
-    lam1 = herm_eigvals(a1.matrix)
-    lam2 = herm_eigvals(a1.matrix + b_mat)
+    base = _real_form(a1.matrix, a1.grid, a1.dim)
+    step = _real_form(b_mat, a1.grid, a1.dim)
+    if base is None or step is None:
+        base, step = a1.matrix, b_mat
+    lam1 = herm_eigvals(base)
+    lam2 = herm_eigvals(base + step)
     root = np.sqrt(np.asarray(times, dtype=float))[:, None]
     shift = _erf(root * lam2) - _erf(root * lam1)
     return WITTEN_SIGN * 0.5 * np.sum(shift, axis=1)
@@ -416,7 +496,7 @@ class ThetaProfile:
         """Monotonicity, end limits, and summable-derivative checks."""
         t = grid.points_array()
         vals = np.asarray(self.evaluator(t), dtype=float)
-        if np.any(np.diff(vals) < -1e-12):
+        if np.any(np.diff(vals) < -THETA_MONOTONE_TOL):
             raise DomainError(f"profile '{self.tag}' is not monotone on the grid")
         if abs(vals[0]) > self.tail_tol or abs(1.0 - vals[-1]) > self.tail_tol:
             raise DomainError(
@@ -424,7 +504,7 @@ class ThetaProfile:
                 f"from its limits at the grid ends (tolerance {self.tail_tol:.1e})"
             )
         variation = float(np.sum(np.abs(np.diff(vals))))
-        if variation > 1.0 + 1e-6:
+        if variation > 1.0 + THETA_VARIATION_TOL:
             raise DomainError(
                 f"profile '{self.tag}' derivative is not summable: TV={variation:.3f}"
             )
@@ -622,7 +702,14 @@ def path_splitting_check(
     Cauchy-Schwarz over the unit rows of the eigenvector matrix the dropped
     pairs add at most HEAT_TAIL_ABS_TOL to the integrand.  The weights
     v^H B v of the kept pairs come from the d x d diagonal blocks of the
-    multiplication operator B, so no dense product with B is formed.
+    multiplication operator B, so no dense product with B is formed.  When
+    c reaches the bound n pi / 2L + max_x |Phi_base(x)| + max_x |Phi_step(x)|
+    on the spectral radius of every A_s along the leg, the window would keep
+    every pair and the full spectrum is solved instead, which is cheaper
+    (the bound takes A_1 to be the grid's d/(i dx); were it too small, the
+    full solve would still be exact).
+    When both endpoints of a leg have a K-real form, each node is solved
+    there and its eigenvectors are mapped back to the grid.
     """
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
@@ -634,24 +721,40 @@ def path_splitting_check(
     s_vals, s_weights = 1.5 + 0.5 * nodes, 0.5 * weights  # mapped to s in [1, 2]
     site = np.arange(grid.points)
 
-    def leg(base: np.ndarray, step: np.ndarray) -> float:
+    def site_blocks(m: np.ndarray) -> np.ndarray:
+        return m.reshape(grid.points, d, grid.points, d)[site, :, site, :]
+
+    def sup_norm(blocks: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(blocks, ord=2, axis=(1, 2))))
+
+    def leg(base: np.ndarray, step: np.ndarray, base_radius: float) -> float:
         """integral_1^2 tr(exp(-t A_s^2) step) ds along A_s = base + (s-1) step."""
-        blocks = step.reshape(grid.points, d, grid.points, d)[site, :, site, :]
+        blocks = site_blocks(step)
         mass = float(np.sum(np.abs(blocks)))
         if mass <= HEAT_TAIL_ABS_TOL:  # the whole leg is within the budget
             return 0.0
         within = np.sqrt(np.log(mass / HEAT_TAIL_ABS_TOL) / t)
+        if within >= base_radius + sup_norm(blocks):
+            within = None
+        real_step = _real_form(step, grid, d)
+        real_base = None if real_step is None else _real_form(base, grid, d)
+        if real_base is not None:
+            base, step = real_base, real_step
         total = 0.0
         for s, w in zip(s_vals, s_weights):
             es = herm_eig(base + (s - 1.0) * step, check=False, within=within)
-            v = es.vectors.reshape(grid.points, d, -1)
+            vectors = es.vectors
+            if real_base is not None:
+                vectors = _from_real_form(vectors, grid, d)
+            v = vectors.reshape(grid.points, d, -1)
             bw = np.einsum("xaj,xab,xbj->j", v.conj(), blocks, v).real
             total += w * float(np.sum(np.exp(-t * es.values * es.values) * bw))
         return total
 
-    direct = leg(a1.matrix, b3m)
-    first = leg(a1.matrix, b1m)
-    second = leg(a1.matrix + b1m, b2m)
+    dirac_radius = grid.points * np.pi / (2.0 * grid.half_width)
+    direct = leg(a1.matrix, b3m, dirac_radius)
+    first = leg(a1.matrix, b1m, dirac_radius)
+    second = leg(a1.matrix + b1m, b2m, dirac_radius + sup_norm(site_blocks(b1m)))
     return PathSplitReport(
         residual=abs(direct - (first + second)),
         direct=direct,

@@ -5,8 +5,9 @@ from the library implementation: series/Pade matrix exponentials, RK4 ODE
 stepping, the slab-by-slab transfer sweep, analytic two-interface matching,
 transcendental root counting, Gauss-Legendre quadrature of the heat-trace
 s-integral over the full spectrum, suspension traces from numpy's own
-LAPACK, and dense matrices of shift-lattice band maps assembled entry by
-entry.
+LAPACK, dense matrices of shift-lattice band maps assembled entry by
+entry, and the dense basis in which parity-symmetric grid operators are
+real.
 """
 
 import numpy as np
@@ -221,3 +222,20 @@ def dense_from_bands(window: int, bands: dict) -> np.ndarray:
             if 0 <= r - d < n:
                 out[r, r - d] = values[r]
     return out
+
+
+def k_real_basis(points: int, dim: int) -> np.ndarray:
+    """Unitary Q whose columns are fixed by (Kf)_j = conj f_{(n-j) mod n}.
+
+    Column order: sites 0 and n/2, then (e_j + e_{n-j})/sqrt 2 for
+    j = 1 .. n/2 - 1, then i (e_j - e_{n-j})/sqrt 2 for the same j; each
+    site carries ``dim`` components.  Filled one entry at a time.
+    """
+    m = points // 2
+    q = np.zeros((points, points), dtype=complex)
+    q[0, 0] = q[m, 1] = 1.0
+    r = np.sqrt(0.5)
+    for j in range(1, m):
+        q[j, 1 + j] = q[points - j, 1 + j] = r
+        q[j, m + j], q[points - j, m + j] = 1j * r, -1j * r
+    return np.kron(q, np.eye(dim))

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from opindex import scattering, toeplitz, witten
+from opindex import linalg, scattering, toeplitz, witten
 from opindex.cli import ResultRecord, main, parse_config, run
 
 
@@ -239,6 +239,22 @@ class TestCommandResults:
         assert code == 0
         assert record.residuals["closed_form"] <= 1e-12
         assert record.residuals["path_splitting"] <= 1e-6
+
+    @pytest.mark.parametrize("command", ["compose-check", "witten-estimate"])
+    def test_heat_trace_solves_are_real(self, command, monkeypatch):
+        # the Dirac operator and the Lorentzian bumps commute with
+        # (Kf)_j = conj f_{-j}, so every solve on these paths is real symmetric
+        dtypes = []
+        eigh = linalg.scipy.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            dtypes.append(a.dtype)
+            return eigh(a, *args, **kwargs)
+
+        monkeypatch.setattr(linalg.scipy.linalg, "eigh", spy)
+        record, code = run(parse_config([command, "--points", "256"]))
+        assert code == 0
+        assert dtypes and all(dtype == np.float64 for dtype in dtypes)
 
     def test_scan_single_depth(self):
         record, code = run(parse_config(["scan", "--depths", "2"]))

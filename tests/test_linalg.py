@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from opindex.errors import DomainError, HermitianityError, ShapeError
 from opindex.linalg import (
     EigenSystem,
+    as_square_matrix,
     heat_operator,
     herm_eig,
     herm_eigvals,
@@ -75,6 +76,25 @@ class TestHermEig:
         es = herm_eig(np.diag([2.0, -3.0, 5.0]), within=1.0)
         assert es.values.shape == (0,)
         assert es.vectors.shape == (3, 0)
+
+    @pytest.mark.parametrize("within", [None, 1.5])
+    def test_real_input_stays_real(self, within):
+        m = random_hermitian(40, seed=23).real
+        real = herm_eig(m, within=within)
+        cplx = herm_eig(m.astype(complex), within=within)
+        assert real.vectors.dtype == np.float64
+        assert len(real.values) == len(cplx.values) > 0
+        assert np.max(np.abs(real.values - cplx.values)) <= 1e-12
+        weights = np.abs(real.vectors) ** 2
+        assert np.max(np.abs(weights - np.abs(cplx.vectors) ** 2)) <= 1e-12
+        values = herm_eigvals(m)
+        assert values.dtype == np.float64
+        assert np.max(np.abs(values - herm_eigvals(m.astype(complex)))) <= 1e-12
+
+    def test_square_matrix_keeps_field(self):
+        assert as_square_matrix(np.eye(2, dtype=int)).dtype == np.float64
+        assert as_square_matrix(np.eye(2, dtype=np.float32)).dtype == np.float64
+        assert as_square_matrix(np.eye(2, dtype=np.complex64)).dtype == np.complex128
 
     def test_window_check_passes(self):
         es = herm_eig(random_hermitian(40, seed=5), check=True, within=2.0)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from opindex import witten
+from opindex.constants import K_REAL_REL_TOL, WITTEN_SIGN
 from opindex.errors import (
     DomainError,
     InsufficientDecayError,
@@ -31,6 +32,7 @@ from opindex.witten import (
 
 from oracles import (
     heat_trace_quadrature,
+    k_real_basis,
     path_split_full_spectrum,
     suspension_window_trace,
 )
@@ -51,6 +53,19 @@ MATRIX_BUMP_1 = PerturbationProfile(
 MATRIX_BUMP_2 = PerturbationProfile(
     evaluator=lambda x: np.array([[0.4, 0.6 * np.tanh(x)], [0.6 * np.tanh(x), -0.3]])
     * np.exp(-x * x),
+    dim=2,
+)
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
+SIGMA_Z = np.diag([1.0, -1.0])
+# real and even, so Phi(-x) = conj Phi(x): the K-real route applies
+REAL_EVEN_BUMP = PerturbationProfile(
+    evaluator=lambda x: (0.5 * np.eye(2) + 0.8 * SIGMA_Z) / (1.0 + x * x)
+    + 0.3 * SIGMA_X * np.exp(-x * x),
+    dim=2,
+)
+# real but with an odd off-diagonal part: the complex route runs
+TANH_BUMP = PerturbationProfile(
+    evaluator=lambda x: (0.7 * np.eye(2) + 0.9 * SIGMA_X * np.tanh(x)) / (1.0 + x * x),
     dim=2,
 )
 
@@ -173,6 +188,31 @@ class TestWittenEstimate:
             for t in est.t_samples
         ]
         assert np.max(np.abs(est.rhs_values - oracle)) <= 1e-9
+
+    @pytest.mark.parametrize(
+        "bump, points, bound, real_route",
+        [
+            (PerturbationProfile.lorentzian(1.0), 1024, 1e-12, True),
+            (PerturbationProfile.lorentzian(3.0), 1024, 1e-12, True),
+            (REAL_EVEN_BUMP, 512, 1e-11, True),
+            (TANH_BUMP, 512, 1e-11, False),
+        ],
+        ids=["lorentzian-1", "lorentzian-3", "real-even-2x2", "tanh-2x2"],
+    )
+    def test_plateau_is_box_integral(self, bump, points, bound, real_route):
+        # on the periodic grid the spectral shift per level is the trapezoid
+        # integral (h / 2 pi) sum_i tr Phi(x_i) over the box, whichever
+        # route solves the eigenproblems
+        grid = GridSpec(40.0, points)
+        a1 = discretize_dirac(grid, dim=bump.dim)
+        b_mat = multiplication_operator(bump, grid)
+        form = witten._real_form(a1.matrix + b_mat, grid, bump.dim)
+        assert (form is not None) == real_route
+        box = grid.spacing / (2.0 * np.pi) * sum(
+            bump.trace_at(float(x)) for x in grid.points_array()
+        )
+        est = witten_index_estimate(a1, bump)
+        assert abs(est.plateau_value - WITTEN_SIGN * box) <= bound
 
     def test_schedule_respects_ceiling(self, small_dirac):
         est = witten_index_estimate(small_dirac, PerturbationProfile.lorentzian(1.0))
@@ -424,8 +464,10 @@ class TestComposition:
             (PerturbationProfile.lorentzian(0.7), PerturbationProfile.zero(), 2.0),
             (MATRIX_BUMP_1, MATRIX_BUMP_2, 0.2),
             (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 0.05),
+            (REAL_EVEN_BUMP, TANH_BUMP, 0.2),
         ],
-        ids=["lorentzian", "zero-second-leg", "matrix-valued", "window-keeps-all"],
+        ids=["lorentzian", "zero-second-leg", "matrix-valued", "window-keeps-all",
+             "real-first-leg-2x2"],
     )
     def test_path_split_matches_full_spectrum_oracle(self, b1, b2, t):
         a1 = discretize_dirac(SMALL_GRID, dim=b1.dim)
@@ -438,6 +480,85 @@ class TestComposition:
         )
         ours = (report.direct, report.first_leg, report.second_leg)
         assert np.max(np.abs(np.subtract(ours, oracle))) <= 1e-13
+
+
+class TestPathSplitWindow:
+    @staticmethod
+    def windows(monkeypatch, t):
+        seen = []
+        solve = witten.herm_eig
+
+        def spy(m, check=True, within=None):
+            seen.append(within)
+            return solve(m, check=check, within=within)
+
+        monkeypatch.setattr(witten, "herm_eig", spy)
+        a1 = discretize_dirac(GridSpec(40.0, 512))
+        path_splitting_check(
+            a1, PerturbationProfile.lorentzian(0.7),
+            PerturbationProfile.lorentzian(0.9), t,
+        )
+        return seen
+
+    def test_window_skipped_when_it_keeps_every_pair(self, monkeypatch):
+        # c(0.05) ~ 30 exceeds n pi / 2L + max Phi = 20.1 + 1.6 on every leg
+        seen = self.windows(monkeypatch, 0.05)
+        assert len(seen) == 24
+        assert all(within is None for within in seen)
+
+    def test_window_kept_at_large_t(self, monkeypatch):
+        seen = self.windows(monkeypatch, 2.0)
+        assert len(seen) == 24
+        assert all(within is not None and within < 10.0 for within in seen)
+
+
+GRIDS = [(40.0, 512), (40.0, 1024), (20.0, 256), (12.0, 48), (13.7, 96)]
+
+
+class TestRealForm:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("half_width, points", GRIDS)
+    def test_dirac_is_real_and_matches_dense_basis(self, half_width, points, dim):
+        grid = GridSpec(half_width, points)
+        a = discretize_dirac(grid, dim=dim).matrix
+        scale = np.max(np.abs(a))
+        q = k_real_basis(points, dim)
+        assert np.max(np.abs(q.conj().T @ q - np.eye(points * dim))) <= 1e-14
+        dense = q.conj().T @ a @ q
+        assert np.max(np.abs(dense.imag)) <= K_REAL_REL_TOL * scale
+        form = witten._real_form(a, grid, dim)
+        assert form is not None and form.dtype == np.float64
+        assert np.max(np.abs(form - dense.real)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize(
+        "bump, real_route",
+        [
+            (PerturbationProfile.lorentzian(0.7), True),
+            (PerturbationProfile.lorentzian(1.6), True),
+            (REAL_EVEN_BUMP, True),
+            (MATRIX_BUMP_1, False),
+            (MATRIX_BUMP_2, False),
+            (TANH_BUMP, False),
+        ],
+        ids=["lorentzian-0.7", "lorentzian-1.6", "real-even-2x2",
+             "matrix-bump-1", "matrix-bump-2", "tanh-2x2"],
+    )
+    def test_route_detection(self, bump, real_route):
+        a1 = discretize_dirac(SMALL_GRID, dim=bump.dim)
+        b_mat = multiplication_operator(bump, SMALL_GRID)
+        for m in (b_mat, a1.matrix + b_mat):
+            assert (witten._real_form(m, SMALL_GRID, bump.dim) is not None) == real_route
+
+    @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), REAL_EVEN_BUMP],
+                             ids=["lorentzian", "real-even-2x2"])
+    def test_eigenvectors_map_back(self, bump):
+        a = discretize_dirac(SMALL_GRID, dim=bump.dim).matrix
+        a = a + multiplication_operator(bump, SMALL_GRID)
+        es = witten.herm_eig(witten._real_form(a, SMALL_GRID, bump.dim), within=3.0)
+        v = witten._from_real_form(es.vectors, SMALL_GRID, bump.dim)
+        assert 0 < v.shape[1] < v.shape[0]
+        assert np.max(np.abs(a @ v - v * es.values)) <= 1e-12 * np.max(np.abs(a))
+        assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
 
 
 class TestTraceClassDiagnostic:
