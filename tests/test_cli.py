@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opindex import linalg, scattering, toeplitz, witten
 from opindex.cli import ResultRecord, main, parse_config, run
@@ -163,6 +164,20 @@ class TestExitCodes:
         assert record.results["error_kind"] == "IntegrationError"
         assert "at k = " in record.results["error"]
 
+    def test_eigensolver_error_exits_1(self, monkeypatch):
+        # the path split's windowed solves compute their vectors by dstein
+        dstein = scipy.linalg.lapack.dstein
+
+        def failing(*args):
+            z, _ = dstein(*args)
+            return z, 1
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", failing)
+        record, code = run(parse_config(["compose-check", "--points", "256"]))
+        assert code == 1
+        assert record.results["error_kind"] == "EigensolverError"
+        assert "dstein" in record.results["error"]
+
     @pytest.mark.parametrize("argv, first_allocation", [
         # 160000 suspension rows: 7 dense copies of 410 GB each
         (["ptf-check", "--nt", "400", "--nx", "400"], "spectral_time_derivative"),
@@ -243,18 +258,32 @@ class TestCommandResults:
     @pytest.mark.parametrize("command", ["compose-check", "witten-estimate"])
     def test_heat_trace_solves_are_real(self, command, monkeypatch):
         # the Dirac operator and the Lorentzian bumps commute with
-        # (Kf)_j = conj f_{-j}, so every solve on these paths is real symmetric
-        dtypes = []
+        # (Kf)_j = conj f_{-j}, so every solve on these paths is real symmetric:
+        # full spectra through eigh, windows through the tridiagonal reduction
+        dtypes, reductions = [], []
         eigh = linalg.scipy.linalg.eigh
 
         def spy(a, *args, **kwargs):
             dtypes.append(a.dtype)
             return eigh(a, *args, **kwargs)
 
+        def reduction_spy(name):
+            routine = getattr(scipy.linalg.lapack, name)
+
+            def reduce(*args, **kwargs):
+                reductions.append(name)
+                return routine(*args, **kwargs)
+
+            return reduce
+
         monkeypatch.setattr(linalg.scipy.linalg, "eigh", spy)
+        for name in ("dsytrd", "zhetrd"):
+            monkeypatch.setattr(scipy.linalg.lapack, name, reduction_spy(name))
         record, code = run(parse_config([command, "--points", "256"]))
         assert code == 0
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+        assert "zhetrd" not in reductions
+        assert ("dsytrd" in reductions) == (command == "compose-check")
 
     def test_scan_single_depth(self):
         record, code = run(parse_config(["scan", "--depths", "2"]))

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from opindex import witten
 from opindex.errors import DomainError, HermitianityError, ShapeError
 from opindex.linalg import (
     EigenSystem,
@@ -23,6 +25,22 @@ def random_hermitian(n, seed):
     rng = np.random.default_rng(seed)
     m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     return 0.5 * (m + m.conj().T)
+
+
+def dirac_pencil(dim, bump, s, field):
+    """A_1 + s B on 128 points (L = 20), in the grid basis or its K-real form."""
+    grid = witten.GridSpec(points=128, half_width=20.0)
+    a1 = witten.discretize_dirac(grid, dim)
+    m = a1.matrix + s * witten.multiplication_operator(bump, grid)
+    return m if field == "complex" else witten._real_form(m, grid, dim)
+
+
+LORENTZIAN_2X2 = witten.PerturbationProfile(
+    evaluator=lambda x: np.diag([0.5, 1.3]) / (1.0 + x * x), dim=2
+)
+SCALAR_2X2 = witten.PerturbationProfile(
+    evaluator=lambda x: 0.7 * np.eye(2) / (1.0 + x * x), dim=2
+)
 
 
 hermitian_matrices = st.builds(
@@ -71,6 +89,45 @@ class TestHermEig:
         # eigenvector phases are arbitrary: compare the weights |v_xj|^2
         weights = np.abs(window.vectors) ** 2
         assert np.max(np.abs(weights - np.abs(full.vectors[:, keep]) ** 2)) <= 1e-12
+
+    @pytest.mark.parametrize("field", ["real", "complex"])
+    @pytest.mark.parametrize("dim, bump, s", [
+        (1, witten.PerturbationProfile.lorentzian(0.7), 0.0),
+        (1, witten.PerturbationProfile.lorentzian(0.7), 0.02),
+        (1, witten.PerturbationProfile.lorentzian(0.7), 0.5),
+        (2, LORENTZIAN_2X2, 0.0),
+        (2, LORENTZIAN_2X2, 0.02),
+        (2, LORENTZIAN_2X2, 0.5),
+        # A_1 (x) I_2 + phi I_2: every eigenvalue exactly twofold
+        (2, SCALAR_2X2, 1.0),
+    ], ids=["d1-s0", "d1-s0.02", "d1-s0.5", "d2-s0", "d2-s0.02", "d2-s0.5",
+            "d2-scalar-bump"])
+    def test_window_matches_evr(self, dim, bump, s, field):
+        m = dirac_pencil(dim, bump, s, field)
+        assert m.dtype == (np.float64 if field == "real" else np.complex128)
+        within = 4.0
+        values, vectors = scipy.linalg.eigh(m, driver="evr")
+        # no eigenvalue near the window edge, where the two routes may differ
+        assert np.min(np.abs(np.abs(values) - within)) > 1e-6
+        keep = (values > -within) & (values <= within)
+        es = herm_eig(m, within=within)
+        assert es.vectors.dtype == m.dtype
+        assert 0 < len(es.values) == np.count_nonzero(keep) < len(m)
+        assert np.max(np.abs(es.values - values[keep])) <= 1e-12
+        # a projector is basis-free inside degenerate clusters
+        kept = vectors[:, keep]
+        projector = es.vectors @ es.vectors.conj().T
+        assert np.max(np.abs(projector - kept @ kept.conj().T)) <= 1e-12
+        gram = es.vectors.conj().T @ es.vectors
+        assert np.max(np.abs(gram - np.eye(len(es.values)))) <= 1e-12
+
+    def test_window_is_half_open(self):
+        es = herm_eig(np.diag([-1.0, 0.5, 1.0]), within=1.0)
+        assert np.array_equal(es.values, [0.5, 1.0])
+        assert np.max(np.abs(np.abs(es.vectors) - np.eye(3)[:, 1:])) <= 1e-12
+        # one row has no tridiagonal off-diagonal to hand to LAPACK
+        assert herm_eig(np.array([[1.0]]), within=1.0).vectors.shape == (1, 1)
+        assert herm_eig(np.array([[-1.0]]), within=1.0).vectors.shape == (1, 0)
 
     def test_empty_window(self):
         es = herm_eig(np.diag([2.0, -3.0, 5.0]), within=1.0)
