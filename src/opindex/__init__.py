@@ -9,7 +9,7 @@ correction factor.
 """
 
 from .constants import conventions
-from .linalg import EigenSystem, heat_operator, herm_eig, singular_values, trace
+from .linalg import EigenSystem, herm_eig
 from .scattering import (
     CorrectedIndexReport,
     LambdaCurve,
@@ -26,7 +26,6 @@ from .scattering import (
     phase_winding,
     resonance_detect,
     scattering_matrix,
-    transfer_matrix,
     witten_index_sigma,
 )
 from .toeplitz import (
@@ -35,16 +34,11 @@ from .toeplitz import (
     LineSymbol,
     ShiftLatticeOperator,
     build_paper_example,
-    cayley_basis,
-    classical_shift_example,
     fedosov_index,
-    svd_index,
-    toeplitz_truncation,
     winding_number,
 )
 from .witten import (
     CompositionReport,
-    DecayReport,
     GridSpec,
     LatticeOperator,
     PathSplitReport,
@@ -58,7 +52,6 @@ from .witten import (
     heat_trace_rhs,
     path_splitting_check,
     ptf_lhs,
-    relative_trace_class_diagnostic,
     suspension_spectrum,
     witten_index_closed_form,
     witten_index_estimate,
@@ -68,18 +61,17 @@ __version__ = "0.1.0"
 
 __all__ = [
     "conventions",
-    "EigenSystem", "herm_eig", "heat_operator", "trace", "singular_values",
+    "EigenSystem", "herm_eig",
     "CircleSymbol", "LineSymbol", "ShiftLatticeOperator", "IndexReport",
-    "build_paper_example", "classical_shift_example", "fedosov_index",
-    "svd_index", "toeplitz_truncation", "winding_number", "cayley_basis",
+    "build_paper_example", "fedosov_index", "winding_number",
     "GridSpec", "LatticeOperator", "PerturbationProfile", "ThetaProfile",
     "SuspensionOperator", "WittenEstimate", "CompositionReport",
-    "PathSplitReport", "DecayReport", "discretize_dirac", "heat_trace_rhs",
+    "PathSplitReport", "discretize_dirac", "heat_trace_rhs",
     "witten_index_estimate", "witten_index_closed_form", "build_suspension",
     "suspension_spectrum", "ptf_lhs", "check_composition",
-    "path_splitting_check", "relative_trace_class_diagnostic",
+    "path_splitting_check",
     "Potential", "ScatteringCurve", "LevinsonReport", "SigmaFactor",
-    "LambdaCurve", "CorrectedIndexReport", "transfer_matrix",
+    "LambdaCurve", "CorrectedIndexReport",
     "scattering_matrix", "bound_states", "phase_winding", "resonance_detect",
     "levinson_check", "exp_resample", "build_sigma", "witten_index_sigma",
     "corrected_index", "find_resonant_depth",

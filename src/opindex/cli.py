@@ -398,11 +398,9 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 def _run_toeplitz_example(p: dict, rec: ResultRecord) -> int:
     n = int(p["n"])
-    t_op, t_adj = toeplitz.build_paper_example(n)
-    q = toeplitz.hardy_compression(t_op.window)
-    report = toeplitz.fedosov_index(t_op, t_adj, n, unit=q)
-    d1 = ((t_op @ t_adj) - q).interior_bands(n)
-    d2 = ((t_adj @ t_op) - q).interior_bands(n)
+    report = toeplitz.fedosov_index(*toeplitz.build_paper_example(n), n)
+    d1 = report.defect_1.interior_bands(n)
+    d2 = report.defect_2.interior_bands(n)
     # T T' - Q is minus the projection onto the lowest integer-lattice mode
     # (site 0, the middle of the main diagonal); T' T - Q vanishes
     lowest = np.zeros(2 * n + 1)

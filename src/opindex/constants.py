@@ -11,9 +11,6 @@ by dedicated tests; they are reported in every CLI record.
 import numpy as np
 
 # --- linear algebra -------------------------------------------------------
-HERMITIAN_REL_TOL = 1e-12       # max|M - M^H| <= tol * max|M| on construction
-EIG_RECONSTRUCT_REL_TOL = 1e-10  # max|M - V L V^H| <= tol * max|M|
-ORTHONORMAL_TOL = 1e-10          # column orthonormality of eigenvector bases
 INPUT_HERMITIAN_REL_TOL = 1e-10  # lattice operators and profile values built by callers
 
 # --- memory -----------------------------------------------------------------
@@ -22,7 +19,6 @@ INPUT_HERMITIAN_REL_TOL = 1e-10  # lattice operators and profile values built by
 DENSE_BUDGET_BYTES = 2 * 2**30
 
 # --- shift-lattice / Toeplitz ---------------------------------------------
-SVD_RANK_TOL = 1e-7              # singular values below this count as zero
 SUPPORT_TOL = 1e-12              # entries below tol*max count as structural zeros
 SYMBOL_MIN_MODULUS = 1e-8        # winding numbers need |a| above this everywhere
 UNWRAP_MAX_STEP = 0.95 * np.pi   # larger arg increments mean undersampling
@@ -38,8 +34,6 @@ WITTEN_SIGN = +1
 PLATEAU_DIFF_TOL = 5e-3          # consecutive plateau samples may differ by this
 PLATEAU_MIN_SAMPLES = 5          # a plateau window must contain at least this many
 THETA_TAIL_TOL = 1e-6            # connection profile must be this close to 0/1 at ends
-THETA_MONOTONE_TOL = 1e-12       # largest decrease between grid samples of a rising profile
-THETA_VARIATION_TOL = 1e-6       # total variation may exceed 1 by at most this
 T_CEILING_FACTOR = 0.25          # max usable t = factor * (L/pi)^2 on an L-grid
 DECAY_CERT_MAX = 1e3             # sup |phi(x)| (1+x^2) beyond this means no decay
 CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form integral

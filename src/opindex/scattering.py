@@ -199,11 +199,6 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.nda
     return t_mats
 
 
-def transfer_matrix(v: Potential, k: float, step: float = 0.01) -> np.ndarray:
-    """Single transfer matrix; see :func:`transfer_matrices`."""
-    return transfer_matrices(v, np.array([float(k)]), step)[0]
-
-
 def _free_self_test(k_probe: np.ndarray, step: float):
     """The stepping scheme must reproduce the identity exactly for V == 0."""
     t = transfer_matrices(Potential.free(), k_probe, step)

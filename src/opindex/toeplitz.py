@@ -22,13 +22,7 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import (
-    SUPPORT_TOL,
-    SVD_RANK_TOL,
-    SYMBOL_MIN_MODULUS,
-    UNWRAP_MAX_STEP,
-    WINDING_SIGN,
-)
+from .constants import SUPPORT_TOL, SYMBOL_MIN_MODULUS, UNWRAP_MAX_STEP
 from .errors import (
     DomainError,
     InconclusiveError,
@@ -367,44 +361,38 @@ def build_paper_example(n_interior: int):
 
 
 # ---------------------------------------------------------------------------
-# index routes
+# the index
 
 
 @dataclass(frozen=True)
 class IndexReport:
-    """Index of a compressed operator with all available route values.
+    """Index of a compressed operator from its exact defect traces.
 
-    ``fedosov_value`` comes from the exact defect-trace formula; the SVD
-    kernel/cokernel dims and the symbol winding are filled in when those
-    routes were run.  ``verdict`` is the integer index and ``certain`` is
-    set when every available route agrees.
+    ``defect_1`` = T T' - Q and ``defect_2`` = T' T - Q on the padded
+    window; ``fedosov_value`` is tr(defect_1) - tr(defect_2) over the
+    interior, ``verdict`` the nearest integer, and ``certain`` is set when
+    the value lies within 1e-10 of it.
     """
 
     fedosov_value: complex
-    svd_kernel_dim: int | None
-    svd_cokernel_dim: int | None
-    winding: int | None
     verdict: int
     certain: bool
+    defect_1: ShiftLatticeOperator
+    defect_2: ShiftLatticeOperator
 
 
 def fedosov_index(
     t_op: ShiftLatticeOperator,
     parametrix: ShiftLatticeOperator,
     n_interior: int,
-    unit: ShiftLatticeOperator | None = None,
-    dense_builder: Callable[[int], np.ndarray] | None = None,
-    symbol: CircleSymbol | LineSymbol | None = None,
 ) -> IndexReport:
     """Index via the exact defect traces tr(T T' - Q) - tr(T' T - Q).
 
-    The defects must be supported strictly inside the interior window,
-    otherwise the padding was insufficient and the result is inconclusive.
-    Optional ``dense_builder`` (size -> truncation matrix) and ``symbol``
-    arguments run the independent SVD and winding routes for the report.
+    Q is the Hardy compression of the window.  The defects must be
+    supported strictly inside the interior window, otherwise the padding
+    was insufficient and the result is inconclusive.
     """
-    if unit is None:
-        unit = hardy_compression(t_op.window)
+    unit = hardy_compression(t_op.window)
     defect_1 = (t_op @ parametrix) - unit
     defect_2 = (parametrix @ t_op) - unit
     # Products on the padded window are exact out to twice the interior;
@@ -428,132 +416,10 @@ def fedosov_index(
             )
     value = defect_1.trace_interior(n_interior) - defect_2.trace_interior(n_interior)
     verdict = round(value.real)
-
-    kernel_dim = cokernel_dim = None
-    if dense_builder is not None:
-        kernel_dim, cokernel_dim = svd_index(dense_builder, 256)
-    wind = winding_number(symbol) if symbol is not None else None
-
-    certain = abs(value - verdict) <= 1e-10
-    if kernel_dim is not None:
-        certain = certain and (kernel_dim - cokernel_dim == verdict)
-    if wind is not None:
-        certain = certain and (WINDING_SIGN * wind == verdict)
     return IndexReport(
         fedosov_value=value,
-        svd_kernel_dim=kernel_dim,
-        svd_cokernel_dim=cokernel_dim,
-        winding=wind,
         verdict=verdict,
-        certain=certain,
+        certain=abs(value - verdict) <= 1e-10,
+        defect_1=defect_1,
+        defect_2=defect_2,
     )
-
-
-def _count_stable_modes(matrix: np.ndarray, tol: float, guard: int):
-    """Kernel/cokernel dimensions of a truncation, ignoring edge artifacts.
-
-    Genuine kernel (cokernel) vectors of the half-line operator concentrate
-    near site 0; truncating the lattice at site n manufactures spurious
-    near-null vectors concentrated in the trailing guard band, which are
-    discarded by a mass test.
-    """
-    n = matrix.shape[0]
-    u, s, vh = np.linalg.svd(matrix)
-    small = np.nonzero(s < tol)[0]
-    kernel = cokernel = 0
-    for i in small:
-        right = vh[i].conj()
-        left = u[:, i]
-        if np.sum(np.abs(right[n - guard:]) ** 2) < 0.5:
-            kernel += 1
-        if np.sum(np.abs(left[n - guard:]) ** 2) < 0.5:
-            cokernel += 1
-    return kernel, cokernel
-
-
-def svd_index(
-    builder: Callable[[int], np.ndarray],
-    n_trunc: int,
-    tol: float = SVD_RANK_TOL,
-    guard: int | None = None,
-):
-    """Kernel and cokernel dimensions from singular values of a truncation.
-
-    ``builder(n)`` must return the n x n truncation of the operator onto
-    lattice sites [0, n).  The counts are recomputed at twice the truncation
-    size; a mismatch raises InconclusiveError instead of guessing.
-    """
-    if guard is None:
-        guard = max(4, n_trunc // 4)
-    if n_trunc < 4 * guard:
-        raise DomainError(
-            f"truncation size {n_trunc} must be at least four times the "
-            f"guard band {guard}"
-        )
-    first = _count_stable_modes(np.asarray(builder(n_trunc), dtype=complex), tol, guard)
-    second = _count_stable_modes(
-        np.asarray(builder(2 * n_trunc), dtype=complex), tol, 2 * guard
-    )
-    if first != second:
-        raise InconclusiveError(
-            f"kernel/cokernel counts changed from {first} to {second} under "
-            "doubling the truncation",
-            detail=(first, second),
-        )
-    return first
-
-
-def toeplitz_truncation(symbol: CircleSymbol, n: int) -> np.ndarray:
-    """Dense n x n compression of a periodic multiplication operator.
-
-    Fourier coefficients are extracted by FFT at the symbol's sample count
-    (at least 4 n points) and arranged as T[j, k] = a_hat(j - k), the
-    coefficient of the mode shift taking site k to site j.
-    """
-    if symbol.character != 0.0:
-        raise DomainError("dense truncations need a periodic (character-0) symbol")
-    m = max(symbol.sample_count, 4 * n)
-    theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
-    vals = np.asarray(symbol.evaluator(theta), dtype=complex)
-    fft = np.fft.fft(vals) / m
-    # samples start at theta = -pi, so coefficient d picks up the phase (-1)^d
-    offsets = np.arange(-(n - 1), n)
-    coeff = fft[offsets % m] * np.exp(1j * np.pi * offsets)
-    diff = np.subtract.outer(np.arange(n), np.arange(n))  # j - k
-    return coeff[diff + (n - 1)]
-
-
-def classical_shift_example(n_interior: int, steps: int = 1):
-    """Compression of a pure Fourier shift on the integer lattice.
-
-    Realises the classical unilateral-shift pair: the symbol exp(i k theta)
-    compressed by the Hardy cutoff, with the parametrix built from the
-    inverse symbol.  Returned on a padded window like the half-shift case.
-    """
-    if n_interior < 4:
-        raise WindowSizingError("interior size must be at least 4")
-    window = 3 * n_interior
-    q = hardy_compression(window)
-    m = ShiftLatticeOperator.shift(window, steps, 0.0, 0.0)
-    t_op = q @ m @ q
-    parametrix = q @ ShiftLatticeOperator.shift(window, -steps, 0.0, 0.0) @ q
-    return t_op, parametrix, q
-
-
-# ---------------------------------------------------------------------------
-# Cayley-transform bases
-
-
-def cayley_basis(n: float, x, normalized: bool = False):
-    """Mode functions exp(-2 n i arctan x) / (x - i) on the real line.
-
-    Defined for integer and half-integer ``n`` alike through the arctan
-    exponent, which fixes the branch.  The raw functions are mutually
-    orthogonal with squared norm pi; pass ``normalized=True`` to divide by
-    sqrt(pi) and get an orthonormal family.
-    """
-    xv = np.asarray(x, dtype=float)
-    vals = np.exp(-2j * n * np.arctan(xv)) / (xv - 1j)
-    if normalized:
-        vals = vals / np.sqrt(np.pi)
-    return vals

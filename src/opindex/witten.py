@@ -71,9 +71,7 @@ from .constants import (
     PLATEAU_DIFF_TOL,
     PLATEAU_MIN_SAMPLES,
     T_CEILING_FACTOR,
-    THETA_MONOTONE_TOL,
     THETA_TAIL_TOL,
-    THETA_VARIATION_TOL,
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
@@ -128,7 +126,7 @@ class LatticeOperator:
             raise DomainError(
                 f"matrix shape {self.matrix.shape} does not match grid size {n}"
             )
-        require_hermitian(self.matrix, INPUT_HERMITIAN_REL_TOL)
+        require_hermitian(self.matrix)
 
 
 def _require_dense_budget(rows: int, copies: int, what: str) -> None:
@@ -459,16 +457,10 @@ def witten_index_closed_form(b: PerturbationProfile) -> float:
 
 @dataclass(frozen=True)
 class ThetaProfile:
-    """Monotone connection profile rising from 0 to 1 across the line.
-
-    ``tail_tol`` declares how close the profile provably is to its limits a
-    distance half_width from the transition; grids narrower than that are
-    rejected when the suspension is assembled.
-    """
+    """Monotone connection profile rising from 0 to 1 across the line."""
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     tag: str
-    tail_tol: float = THETA_TAIL_TOL
 
     @classmethod
     def logistic(cls) -> "ThetaProfile":
@@ -477,37 +469,6 @@ class ThetaProfile:
     @classmethod
     def erf_profile(cls) -> "ThetaProfile":
         return cls(evaluator=lambda t: 0.5 * (1.0 + _erf(t)), tag="erf")
-
-    @classmethod
-    def arctan_profile(cls, tail_tol: float) -> "ThetaProfile":
-        """Rational-tail profile 1/2 + arctan(t)/pi.
-
-        Its tails decay only like 1/(pi t), so a finite grid can never meet
-        the default end tolerance; the caller must declare an honest
-        ``tail_tol`` for the grid in use.
-        """
-        return cls(
-            evaluator=lambda t: 0.5 + np.arctan(t) / np.pi,
-            tag="arctan",
-            tail_tol=tail_tol,
-        )
-
-    def check_on(self, grid: GridSpec):
-        """Monotonicity, end limits, and summable-derivative checks."""
-        t = grid.points_array()
-        vals = np.asarray(self.evaluator(t), dtype=float)
-        if np.any(np.diff(vals) < -THETA_MONOTONE_TOL):
-            raise DomainError(f"profile '{self.tag}' is not monotone on the grid")
-        if abs(vals[0]) > self.tail_tol or abs(1.0 - vals[-1]) > self.tail_tol:
-            raise DomainError(
-                f"profile '{self.tag}' is {vals[0]:.2e}/{1 - vals[-1]:.2e} away "
-                f"from its limits at the grid ends (tolerance {self.tail_tol:.1e})"
-            )
-        variation = float(np.sum(np.abs(np.diff(vals))))
-        if variation > 1.0 + THETA_VARIATION_TOL:
-            raise DomainError(
-                f"profile '{self.tag}' derivative is not summable: TV={variation:.3f}"
-            )
 
 
 @dataclass(frozen=True)
@@ -536,8 +497,8 @@ def build_suspension(
 ) -> SuspensionOperator:
     """Assemble the suspension of the pair (A_1, A_1 + B) on a product grid.
 
-    The connection profile must be within its declared tail tolerance of
-    0 and 1 a half-width away from the transition centre; the rise and its
+    The connection profile must be within THETA_TAIL_TOL of 0 and 1 a
+    half-width away from the transition centre; the rise and its
     mirrored fall are placed half a period apart so the operator is smooth
     across the periodic seam.
     """
@@ -549,8 +510,7 @@ def build_suspension(
     _require_dense_budget(t_grid.points * n_x, 7, "the suspension and its SVD")
     half = t_grid.half_width
     ends = np.asarray(theta.evaluator(np.array([-half, half])), dtype=float)
-    tol = max(theta.tail_tol, THETA_TAIL_TOL)
-    if abs(ends[0]) > tol or abs(1.0 - ends[1]) > tol:
+    if abs(ends[0]) > THETA_TAIL_TOL or abs(1.0 - ends[1]) > THETA_TAIL_TOL:
         raise DomainError(
             f"t grid too narrow: profile '{theta.tag}' reaches "
             f"{ends[0]:.2e}/{1 - ends[1]:.2e} at +-{half}"
@@ -746,7 +706,7 @@ def path_splitting_check(
             base, step = real_base, real_step
         total = 0.0
         for s, w in zip(s_vals, s_weights):
-            es = herm_eig(base + (s - 1.0) * step, check=False, within=within)
+            es = herm_eig(base + (s - 1.0) * step, within=within)
             vectors = es.vectors
             if real:
                 vectors = _from_real_form(vectors, grid, d)
@@ -774,70 +734,4 @@ def path_splitting_check(
         direct=direct,
         first_leg=first,
         second_leg=second,
-    )
-
-
-# ---------------------------------------------------------------------------
-# relative trace-class diagnostic
-
-
-@dataclass(frozen=True)
-class DecayReport:
-    """Evidence about B (A + i)^(-p-1) being trace class on the grid."""
-
-    singular_values: np.ndarray
-    partial_sums: np.ndarray
-    decay_exponent: float
-    refinement_ratio: float
-    plausibly_trace_class: bool
-
-
-def relative_trace_class_diagnostic(
-    a1: LatticeOperator,
-    b: PerturbationProfile,
-    p: int,
-) -> DecayReport:
-    """Singular-value decay of B (A_1 + i)^(-p-1), compared across two grids.
-
-    The sum of singular values is recomputed on a grid with half the points
-    (same width); stability within a few percent flags the perturbation as
-    plausibly trace class.  Diagnostic only, never raises on bad decay.
-    """
-    if p < 0:
-        raise DomainError("p must be a non-negative integer")
-
-    def sv_on(grid: GridSpec) -> np.ndarray:
-        a = discretize_dirac(grid, dim=b.dim).matrix
-        b_mat = multiplication_operator(b, grid)
-        if not np.any(b_mat):
-            return np.zeros(grid.points * b.dim)
-        resolvent = np.linalg.inv(a + 1j * np.eye(a.shape[0]))
-        power = np.linalg.matrix_power(resolvent, p + 1)
-        return np.linalg.svd(b_mat @ power, compute_uv=False)
-
-    fine = sv_on(a1.grid)
-    coarse_grid = GridSpec(a1.grid.half_width, max(16, a1.grid.points // 2))
-    coarse = sv_on(coarse_grid)
-    partial = np.cumsum(fine)
-    total_fine = float(partial[-1]) if len(partial) else 0.0
-    total_coarse = float(np.sum(coarse))
-    if total_fine <= 0.0:
-        return DecayReport(fine, partial, float("inf"), 1.0, True)
-    ratio = total_fine / max(total_coarse, 1e-300)
-    # fit sigma_k ~ k^(-alpha) over the mid range
-    k0, k1 = max(1, len(fine) // 20), len(fine) // 2
-    ks = np.arange(k0, k1)
-    positive = fine[k0:k1] > 1e-300
-    if np.count_nonzero(positive) > 8:
-        slope = np.polyfit(np.log(ks[positive]), np.log(fine[k0:k1][positive]), 1)[0]
-        exponent = -float(slope)
-    else:
-        exponent = float("inf")
-    stable = abs(ratio - 1.0) <= 0.05
-    return DecayReport(
-        singular_values=fine,
-        partial_sums=partial,
-        decay_exponent=exponent,
-        refinement_ratio=ratio,
-        plausibly_trace_class=bool(stable),
     )

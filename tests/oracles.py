@@ -1,19 +1,25 @@
 """Independent reference computations used only by the test suite.
 
 Each function here recomputes a quantity by a route structurally different
-from the library implementation: series/Pade matrix exponentials, RK4 ODE
-stepping, the slab-by-slab transfer sweep, analytic two-interface matching,
+from the library implementation: series/Pade matrix exponentials and the
+heat operator assembled from eigenmodes, RK4 ODE stepping, the
+slab-by-slab transfer sweep, analytic two-interface matching,
 transcendental root counting, Gauss-Legendre quadrature of the heat-trace
 s-integral over the full spectrum, suspension traces from numpy's own
 LAPACK, dense matrices of shift-lattice band maps assembled entry by
-entry, and the dense basis in which parity-symmetric grid operators are
-real.
+entry, the dense basis in which parity-symmetric grid operators are real,
+and Fredholm kernel/cokernel counts from the singular values of dense
+Toeplitz truncations.
 """
 
 import numpy as np
 from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
 
+from opindex.errors import DomainError, InconclusiveError
+from opindex.linalg import herm_eig
 from opindex.scattering import _amplitude_frames, _slab_propagators
+
+SVD_RANK_TOL = 1e-7  # singular values below this count as zero
 
 
 def taylor_expm(m: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -30,6 +36,21 @@ def taylor_expm(m: np.ndarray, terms: int = 24) -> np.ndarray:
     for _ in range(squarings):
         out = out @ out
     return out
+
+
+def heat_operator(m, t: float, eig=None) -> np.ndarray:
+    """Heat semigroup element exp(-t M) for Hermitian M via eigenmodes.
+
+    Returns V exp(-t Lambda) V^H symmetrised to be exactly Hermitian, from
+    the library's ``herm_eig`` unless an eigensystem is passed.  The result
+    has all eigenvalues in (0, exp(-t lambda_min)].
+    """
+    if t <= 0:
+        raise DomainError(f"heat flow time must be positive, got {t}")
+    es = eig if eig is not None else herm_eig(m)
+    weights = np.exp(-t * es.values)
+    out = es.vectors @ (weights[:, None] * es.vectors.conj().T)
+    return 0.5 * (out + out.conj().T)
 
 
 def square_well_transfer(depth: float, half_width: float, k: float) -> np.ndarray:
@@ -239,3 +260,71 @@ def k_real_basis(points: int, dim: int) -> np.ndarray:
         q[j, 1 + j] = q[points - j, 1 + j] = r
         q[j, m + j], q[points - j, m + j] = 1j * r, -1j * r
     return np.kron(q, np.eye(dim))
+
+
+def toeplitz_truncation(symbol, n: int) -> np.ndarray:
+    """Dense n x n compression of a periodic multiplication operator.
+
+    Fourier coefficients are extracted by FFT at the symbol's sample count
+    (at least 4 n points) and arranged as T[j, k] = a_hat(j - k), the
+    coefficient of the mode shift taking site k to site j.
+    """
+    if symbol.character != 0.0:
+        raise DomainError("dense truncations need a periodic (character-0) symbol")
+    m = max(symbol.sample_count, 4 * n)
+    theta = -np.pi + 2.0 * np.pi * np.arange(m) / m
+    vals = np.asarray(symbol.evaluator(theta), dtype=complex)
+    fft = np.fft.fft(vals) / m
+    # samples start at theta = -pi, so coefficient d picks up the phase (-1)^d
+    offsets = np.arange(-(n - 1), n)
+    coeff = fft[offsets % m] * np.exp(1j * np.pi * offsets)
+    diff = np.subtract.outer(np.arange(n), np.arange(n))  # j - k
+    return coeff[diff + (n - 1)]
+
+
+def _count_stable_modes(matrix: np.ndarray, tol: float, guard: int):
+    """Kernel/cokernel dimensions of a truncation, ignoring edge artifacts.
+
+    Genuine kernel (cokernel) vectors of the half-line operator concentrate
+    near site 0; truncating the lattice at site n manufactures spurious
+    near-null vectors concentrated in the trailing guard band, which are
+    discarded by a mass test.
+    """
+    n = matrix.shape[0]
+    u, s, vh = np.linalg.svd(matrix)
+    small = np.nonzero(s < tol)[0]
+    kernel = cokernel = 0
+    for i in small:
+        right = vh[i].conj()
+        left = u[:, i]
+        if np.sum(np.abs(right[n - guard:]) ** 2) < 0.5:
+            kernel += 1
+        if np.sum(np.abs(left[n - guard:]) ** 2) < 0.5:
+            cokernel += 1
+    return kernel, cokernel
+
+
+def svd_index(builder, n_trunc: int, guard: int, tol: float = SVD_RANK_TOL):
+    """Kernel and cokernel dimensions from singular values of a truncation.
+
+    ``builder(n)`` must return the n x n truncation of the operator onto
+    lattice sites [0, n); ``guard`` trailing sites hold the truncation's
+    edge artifacts.  The counts are recomputed at twice the truncation size
+    and guard; a mismatch raises InconclusiveError instead of guessing.
+    """
+    if n_trunc < 4 * guard:
+        raise DomainError(
+            f"truncation size {n_trunc} must be at least four times the "
+            f"guard band {guard}"
+        )
+    first = _count_stable_modes(np.asarray(builder(n_trunc), dtype=complex), tol, guard)
+    second = _count_stable_modes(
+        np.asarray(builder(2 * n_trunc), dtype=complex), tol, 2 * guard
+    )
+    if first != second:
+        raise InconclusiveError(
+            f"kernel/cokernel counts changed from {first} to {second} under "
+            "doubling the truncation",
+            detail=(first, second),
+        )
+    return first

@@ -1,14 +1,33 @@
 """CLI contract: parsing precedence, record formats, exit codes."""
 
+import ast
 import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import opindex
 from opindex import linalg, scattering, toeplitz, witten
 from opindex.cli import ResultRecord, main, parse_config, run
+
+
+def test_public_names_are_used_by_the_library():
+    # an exported name must be used by library code (a def or class statement
+    # is not a use), so a route that only tests reach cannot be exported
+    package = Path(opindex.__file__).parent
+    used = set()
+    for module in package.glob("*.py"):
+        if module.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(module.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    assert sorted(set(opindex.__all__) - used) == []
 
 
 class TestParsing:
@@ -177,6 +196,15 @@ class TestExitCodes:
         assert code == 1
         assert record.results["error_kind"] == "EigensolverError"
         assert "dstein" in record.results["error"]
+
+    def test_construction_error_exits_1(self, monkeypatch):
+        # the antidiagonal branch's index quadrature must land on 0 or 1/2;
+        # 0.3 / (2 pi) = 0.048 lands on neither
+        monkeypatch.setattr(scattering, "quad", lambda *args, **kwargs: (0.3, 0.0))
+        record, code = run(parse_config(["sigma-index", "--branch", "antidiagonal"]))
+        assert code == 1
+        assert record.results["error_kind"] == "ConstructionError"
+        assert "not within 1e-3 of 0 or 1/2" in record.results["error"]
 
     @pytest.mark.parametrize("argv, first_allocation", [
         # 160000 suspension rows: 7 dense copies of 410 GB each

@@ -23,7 +23,6 @@ from opindex.scattering import (
     resonance_detect,
     scattering_matrix,
     transfer_matrices,
-    transfer_matrix,
     witten_index_sigma,
 )
 from opindex.witten import GridSpec
@@ -41,16 +40,16 @@ WELL = Potential.square_well(2.0, 1.0)
 
 class TestTransferMatrix:
     def test_free_potential_identity(self):
-        t = transfer_matrix(Potential.free(), 1.0)
+        t = transfer_matrices(Potential.free(), np.array([1.0]))[0]
         assert np.max(np.abs(t - np.eye(2))) <= 1e-12
 
     def test_determinant_one(self):
-        t = transfer_matrix(WELL, 1.0)
+        t = transfer_matrices(WELL, np.array([1.0]))[0]
         det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
         assert abs(det - 1.0) <= 1e-8
 
     def test_matches_interface_matching_oracle(self):
-        ours = transfer_matrix(WELL, 1.0)
+        ours = transfer_matrices(WELL, np.array([1.0]))[0]
         oracle = square_well_transfer(2.0, 1.0, 1.0)
         assert np.max(np.abs(ours - oracle)) <= 1e-6
 
@@ -69,7 +68,7 @@ class TestTransferMatrix:
 
     def test_rejects_nonpositive_k(self):
         with pytest.raises(DomainError):
-            transfer_matrix(WELL, 0.0)
+            transfer_matrices(WELL, np.array([0.0]))
 
     @settings(max_examples=20, deadline=None)
     @given(

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
-from oracles import dense_from_bands
-from scipy.integrate import quad
+from oracles import dense_from_bands, svd_index, toeplitz_truncation
 
 from opindex.errors import (
     DomainError,
@@ -18,15 +17,25 @@ from opindex.toeplitz import (
     LineSymbol,
     ShiftLatticeOperator,
     build_paper_example,
-    cayley_basis,
-    classical_shift_example,
     fedosov_index,
     hardy_compression,
     paper_example_operators,
-    svd_index,
-    toeplitz_truncation,
     winding_number,
 )
+
+
+def classical_shift_example(n_interior: int, steps: int = 1):
+    """Compression of a pure Fourier shift on the integer lattice.
+
+    The classical unilateral-shift pair: the symbol exp(i k theta)
+    compressed by the Hardy cutoff, with the parametrix built from the
+    inverse symbol, on a window padded like the half-shift case.
+    """
+    window = 3 * n_interior
+    q = hardy_compression(window)
+    t_op = q @ ShiftLatticeOperator.shift(window, steps, 0.0, 0.0) @ q
+    parametrix = q @ ShiftLatticeOperator.shift(window, -steps, 0.0, 0.0) @ q
+    return t_op, parametrix
 
 
 class TestHalfShiftExample:
@@ -88,15 +97,16 @@ class TestHalfShiftExample:
         assert excinfo.value.detail == 24
 
     def test_off_diagonal_support_sized_by_column(self):
-        # one entry at (site 5, site -11): its column sets the radius
+        # T = Q + E with E one entry at (site 5, site -11) and T' = Q:
+        # T T' - Q = E Q vanishes, T' T - Q = Q E keeps the entry, and its
+        # column sets the radius
         window = 24
-        entry = np.zeros(2 * window + 1)
-        entry[window + 5] = 1.0
-        t_op = ShiftLatticeOperator.from_band(window, {16: entry})
-        unit = ShiftLatticeOperator.from_band(window, {0: 1.0})
-        empty = ShiftLatticeOperator.from_band(window, {})
+        sites = np.arange(-window, window + 1)
+        entry = np.where(sites == 5, 1.0, 0.0)
+        q = hardy_compression(window)
+        t_op = ShiftLatticeOperator.from_band(window, {0: q.bands[0], 16: entry})
         with pytest.raises(InconclusiveError) as excinfo:
-            fedosov_index(t_op, unit, 8, unit=empty)
+            fedosov_index(t_op, q, 8)
         assert excinfo.value.detail == 11
 
     def test_too_small_interior_rejected(self):
@@ -114,20 +124,17 @@ class TestHalfShiftExample:
 
 class TestClassicalShift:
     def test_fedosov_matches_svd_oracle(self):
-        t_op, parametrix, _ = classical_shift_example(16)
+        t_op, parametrix = classical_shift_example(16)
         symbol = CircleSymbol(lambda th: np.exp(1j * th))
-        report = fedosov_index(
-            t_op, parametrix, 16,
-            dense_builder=lambda n: toeplitz_truncation(symbol, n),
-            symbol=symbol,
-        )
+        report = fedosov_index(t_op, parametrix, 16)
+        dims = svd_index(lambda n: toeplitz_truncation(symbol, n), 256, guard=64)
         assert report.verdict == -1
-        assert (report.svd_kernel_dim, report.svd_cokernel_dim) == (0, 1)
-        assert report.winding == 1
+        assert dims == (0, 1)
+        assert winding_number(symbol) == 1
         assert report.certain
 
     def test_downward_shift_has_index_plus_one(self):
-        t_op, parametrix, _ = classical_shift_example(16, steps=-1)
+        t_op, parametrix = classical_shift_example(16, steps=-1)
         report = fedosov_index(t_op, parametrix, 16)
         assert report.verdict == 1
 
@@ -232,41 +239,6 @@ class TestSymbolConstruction:
     def test_invalid_character_rejected(self):
         with pytest.raises(DomainError):
             CircleSymbol(lambda th: np.exp(1j * th), character=0.25)
-
-
-class TestCayleyBasis:
-    def test_lowest_mode_closed_form(self):
-        x = np.linspace(-5.0, 5.0, 41)
-        assert np.allclose(cayley_basis(0, x), 1.0 / (x - 1j))
-
-    def _gram_entry(self, m, n, normalized):
-        def integrand_re(x):
-            return (cayley_basis(m, x, normalized)
-                    * np.conj(cayley_basis(n, x, normalized))).real
-
-        def integrand_im(x):
-            return (cayley_basis(m, x, normalized)
-                    * np.conj(cayley_basis(n, x, normalized))).imag
-
-        re = quad(integrand_re, -np.inf, np.inf, limit=200)[0]
-        im = quad(integrand_im, -np.inf, np.inf, limit=200)[0]
-        return re + 1j * im
-
-    def test_normalized_gram_is_identity(self):
-        gram = np.array(
-            [[self._gram_entry(m, n, True) for n in range(8)] for m in range(8)]
-        )
-        assert np.max(np.abs(gram - np.eye(8))) <= 1e-6
-
-    def test_raw_norm_is_pi(self):
-        assert self._gram_entry(3, 3, False).real == pytest.approx(np.pi, abs=1e-8)
-
-    def test_normalized_mode_has_unit_norm(self):
-        assert self._gram_entry(3, 3, True).real == pytest.approx(1.0, abs=1e-8)
-
-    def test_half_integer_modes_orthonormal(self):
-        assert abs(self._gram_entry(1.5, 1.5, True) - 1.0) <= 1e-8
-        assert abs(self._gram_entry(1.5, 0.5, True)) <= 1e-8
 
 
 class TestShiftLatticeAlgebra:

@@ -7,6 +7,7 @@ from opindex import witten
 from opindex.constants import K_REAL_REL_TOL, WITTEN_SIGN
 from opindex.errors import (
     DomainError,
+    HermitianityError,
     InsufficientDecayError,
     NonConvergenceError,
 )
@@ -23,7 +24,6 @@ from opindex.witten import (
     multiplication_operator,
     path_splitting_check,
     ptf_lhs,
-    relative_trace_class_diagnostic,
     spectral_time_derivative,
     suspension_spectrum,
     witten_index_closed_form,
@@ -266,28 +266,6 @@ class TestClosedForm:
         assert witten_index_closed_form(bump) == pytest.approx(1.5, abs=1e-9)
 
 
-class TestThetaProfiles:
-    def test_logistic_passes_checks(self):
-        ThetaProfile.logistic().check_on(GridSpec(16.0, 48))
-
-    def test_erf_passes_checks(self):
-        ThetaProfile.erf_profile().check_on(GridSpec(16.0, 48))
-
-    def test_arctan_needs_honest_tolerance(self):
-        grid = GridSpec(16.0, 48)
-        with pytest.raises(DomainError):
-            ThetaProfile.arctan_profile(tail_tol=1e-6).check_on(grid)
-        ThetaProfile.arctan_profile(tail_tol=0.05).check_on(grid)
-
-    def test_non_monotone_profile_rejected(self):
-        bad = ThetaProfile(
-            evaluator=lambda t: 0.5 * (1.0 + np.tanh(t)) + 0.05 * np.sin(5 * t),
-            tag="wiggly",
-        )
-        with pytest.raises(DomainError):
-            bad.check_on(GridSpec(16.0, 48))
-
-
 SUSPENSION_X_GRID = GridSpec(8.0, 24)
 SUSPENSION_T_GRID = GridSpec(10.0, 24)
 
@@ -488,9 +466,9 @@ class TestPathSplitWindow:
         seen = []
         solve = witten.herm_eig
 
-        def spy(m, check=True, within=None):
+        def spy(m, within=None):
             seen.append(within)
-            return solve(m, check=check, within=within)
+            return solve(m, within=within)
 
         monkeypatch.setattr(witten, "herm_eig", spy)
         a1 = discretize_dirac(GridSpec(40.0, 512))
@@ -561,46 +539,9 @@ class TestRealForm:
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
 
 
-class TestTraceClassDiagnostic:
-    def test_zero_profile(self, small_dirac):
-        report = relative_trace_class_diagnostic(
-            small_dirac, PerturbationProfile.zero(), 1
-        )
-        assert np.all(report.singular_values == 0)
-        assert report.plausibly_trace_class
-
-    def test_lorentzian_p1_stable(self):
-        grid = GridSpec(20.0, 1024)
-        a1 = discretize_dirac(grid)
-        report = relative_trace_class_diagnostic(
-            a1, PerturbationProfile.lorentzian(1.0), 1
-        )
-        assert abs(report.refinement_ratio - 1.0) <= 0.02
-        assert report.plausibly_trace_class
-
-    def test_constant_p0_grows_with_width(self):
-        # same spacing, doubled box: a trace-class perturbation would keep
-        # its sum; the flat profile doubles it
-        flat = PerturbationProfile(evaluator=lambda x: 1.0)
-        sums = []
-        for width, points in ((20.0, 512), (40.0, 1024)):
-            report = relative_trace_class_diagnostic(
-                discretize_dirac(GridSpec(width, points)), flat, 0
-            )
-            assert not report.plausibly_trace_class
-            sums.append(report.partial_sums[-1])
-        assert sums[1] >= 1.9 * sums[0]
-
-    def test_negative_p_rejected(self, small_dirac):
-        with pytest.raises(DomainError):
-            relative_trace_class_diagnostic(
-                small_dirac, PerturbationProfile.lorentzian(1.0), -1
-            )
-
-
 class TestLatticeOperator:
     def test_hermitian_flag_checked(self):
         bad = np.zeros((SMALL_GRID.points, SMALL_GRID.points), dtype=complex)
         bad[0, 1] = 1.0
-        with pytest.raises(Exception):
+        with pytest.raises(HermitianityError):
             LatticeOperator(matrix=bad, grid=SMALL_GRID)
