@@ -50,7 +50,6 @@ class RunConfig:
     params: dict
     output_format: str = "table"
     out_path: str | None = None
-    seed: int | None = None  # reserved; all computations are deterministic
 
 
 @dataclass
@@ -201,8 +200,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=("table", "csv", "json"), help="output format")
     common.add_argument("--out", dest="out_path", default=None,
                         help="write the record to this path instead of stdout")
-    common.add_argument("--seed", type=int, default=None,
-                        help="reserved; all computations are deterministic")
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("toeplitz-example", parents=[common],
@@ -316,7 +313,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_float_list,
                    default=[0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
     p.add_argument("--well-width", type=float, default=1.0)
-    p.add_argument("--include-resonant", action="store_true", default=True)
     p.add_argument("--max-residual", type=float, default=LEVINSON_MAX_RESIDUAL)
     return parser
 
@@ -381,14 +377,13 @@ def parse_config(argv: list[str]) -> RunConfig:
     args = parser.parse_args(argv)
     params = {
         k: v for k, v in vars(args).items()
-        if k not in ("command", "config", "output_format", "out_path", "seed")
+        if k not in ("command", "config", "output_format", "out_path")
     }
     return RunConfig(
         command=args.command,
         params=params,
         output_format=args.output_format,
         out_path=args.out_path,
-        seed=args.seed,
     )
 
 
@@ -604,10 +599,8 @@ def _run_scan(p: dict, rec: ResultRecord) -> int:
     width = float(p["well_width"])
     rows = []
     ok = True
-    resonant_depth = None
-    if p.get("include_resonant", True):
-        resonant_depth = scattering.find_resonant_depth(width)
-        depths = depths + [resonant_depth]
+    resonant_depth = scattering.find_resonant_depth(width)
+    depths = depths + [resonant_depth]
     worst_levinson = 0.0
     worst_split = 0.0
     for depth in depths:
@@ -628,8 +621,7 @@ def _run_scan(p: dict, rec: ResultRecord) -> int:
          "fredholm_index", "w_scattering", "w_sigma", "decomposition_residual"),
         rows,
     )
-    if resonant_depth is not None:
-        rec.results["resonant_depth"] = resonant_depth
+    rec.results["resonant_depth"] = resonant_depth
     rec.residuals["worst_levinson"] = worst_levinson
     rec.residuals["worst_decomposition"] = worst_split
     return 0 if ok else 1

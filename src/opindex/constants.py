@@ -43,9 +43,10 @@ CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form int
 # Cauchy-Schwarz the dropped pairs add at most exp(-t c^2) sum_xy |B_xy| to
 # tr(exp(-t A_s^2) B).
 HEAT_TAIL_ABS_TOL = 1e-18
-# A grid operator is solved as a real symmetric matrix when its form in the
-# basis fixed by (Kf)_j = conj f_{(n-j) mod n} has an imaginary part below
-# this, relative to max|M|; exactly K-symmetric operators read 0 or ~1e-17.
+# A grid operator M is solved as a real symmetric matrix when its plane-wave
+# form F M F^H (F the unitary DFT over the sites) has an imaginary part at
+# most this, relative to max|M|; operators that commute with
+# (Kf)_j = conj f_{(n-j) mod n} read at most ~4.2e-16.
 K_REAL_REL_TOL = 1e-14
 
 # --- scattering -------------------------------------------------------------

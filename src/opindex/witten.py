@@ -22,18 +22,17 @@ eigenvalues of the two endpoints alone.  The s-quadrature survives only in
 ``path_splitting_check``, which tests the trace-derivative formula along the
 path, and as an independent oracle in the test suite.
 
-Both of those routes solve real symmetric eigenproblems whenever they can.
-The discretised d/(i dx) commutes exactly with the antiunitary
-(Kf)_j = conj f_{(n-j) mod n}, parity on the periodic grid followed by
-complex conjugation, and a bump commutes with it when Phi(-x) = conj Phi(x),
-as every real even profile does (the Lorentzians among them).  An operator
-that commutes with K is real in the orthonormal basis that K fixes (Dyson's
-threefold way), so ``_real_form`` pairs sites j and n - j by slices, keeps
-the real part when the imaginary part is at rounding level, and LAPACK's
-real ``dsyevr`` does the solve for about a quarter of the complex flops.
-That measured test is the only switch: a profile without the symmetry,
-such as an odd off-diagonal coupling, is solved in complex arithmetic as
-before.
+Both of those routes solve in the plane-wave basis F, the unitary DFT over
+the grid sites, where the discretised d/(i dx) is diagonal.  The
+antiunitary (Kf)_j = conj f_{(n-j) mod n}, parity on the periodic grid
+followed by complex conjugation, is plain complex conjugation there, so
+F M F^H is real exactly when M commutes with K.  A bump does when
+Phi(-x) = conj Phi(x), as every real even profile does (the Lorentzians
+among them).  ``_plane_wave_form`` keeps the real part when the imaginary
+part is at rounding level, and LAPACK's real ``dsyevr`` then does the solve
+for about a quarter of the complex flops.  The dtype of the form is the
+only switch: a profile without the symmetry, such as an odd off-diagonal
+coupling, gives a complex form and is solved in complex arithmetic.
 
 For the suspension route note that tr f(D D^H) = tr f(D^H D) identically for
 every *square* matrix D, so a full trace of the heat difference on a finite
@@ -57,6 +56,7 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
+from scipy.fft import fft, ifft
 from scipy.integrate import quad
 from scipy.linalg import circulant
 from scipy.special import erf as _erf
@@ -179,42 +179,50 @@ def spectral_time_derivative(grid: GridSpec) -> np.ndarray:
 class PerturbationProfile:
     """Hermitian multiplication bump x -> Phi(x), dim x dim valued.
 
+    ``evaluator`` takes the points x as an array of shape (m,) and returns
+    the values, of shape (m,) for dim 1 or (m, dim, dim).
     ``decay_certificate`` is sup |Phi(x)| (1 + x^2) over a wide probe grid;
     profiles whose certificate stays below the library bound are eligible
     for the closed-form index integral.  ``mu`` records the nominal scale
     of scaled families (the evaluator already includes it).
     """
 
-    evaluator: Callable[[float], np.ndarray | float]
+    evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
     mu: float = 1.0
     decay_certificate: float = field(init=False)
 
     def __post_init__(self):
         probe = np.linspace(-200.0, 200.0, 2001)
-        worst = 0.0
-        for x in probe[:: len(probe) // 200]:
-            v = self.value(float(x))
-            herm = float(np.max(np.abs(v - v.conj().T)))
-            if herm > INPUT_HERMITIAN_REL_TOL * max(1.0, float(np.max(np.abs(v)))):
-                raise DomainError(f"profile value at x={x} is not Hermitian")
-        for x in probe:
-            v = self.value(float(x))
-            worst = max(worst, float(np.max(np.abs(v))) * (1.0 + x * x))
-        object.__setattr__(self, "decay_certificate", worst)
-
-    def value(self, x: float) -> np.ndarray:
-        v = np.asarray(self.evaluator(x), dtype=complex)
-        if v.ndim == 0:
-            v = v.reshape(1, 1)
-        if v.shape != (self.dim, self.dim):
+        v = self.samples(probe)
+        size = np.max(np.abs(v), axis=(1, 2))
+        # Hermitian symmetry is probed at every tenth point
+        w = v[::10]
+        herm = np.max(np.abs(w - w.conj().transpose(0, 2, 1)), axis=(1, 2))
+        bad = herm > INPUT_HERMITIAN_REL_TOL * np.maximum(1.0, size[::10])
+        if np.any(bad):
             raise DomainError(
-                f"profile value shape {v.shape} does not match dim {self.dim}"
+                f"profile value at x={probe[::10][np.argmax(bad)]} is not Hermitian"
+            )
+        object.__setattr__(
+            self, "decay_certificate", float(np.max(size * (1.0 + probe * probe)))
+        )
+
+    def samples(self, x: np.ndarray) -> np.ndarray:
+        """Phi at the points x, as a complex array of shape (m, dim, dim)."""
+        x = np.asarray(x, dtype=float)
+        v = np.asarray(self.evaluator(x), dtype=complex)
+        if self.dim == 1 and v.shape == x.shape:
+            v = v.reshape(-1, 1, 1)
+        if v.shape != (len(x), self.dim, self.dim):
+            raise DomainError(
+                f"profile values of shape {v.shape} do not match {len(x)} points "
+                f"of dim {self.dim}"
             )
         return v
 
     def trace_at(self, x: float) -> float:
-        return float(np.trace(self.value(x)).real)
+        return float(np.trace(self.samples(np.array([x]))[0]).real)
 
     @property
     def has_decay(self) -> bool:
@@ -227,12 +235,12 @@ class PerturbationProfile:
 
     @classmethod
     def zero(cls, dim: int = 1) -> "PerturbationProfile":
-        return cls(evaluator=lambda x: np.zeros((dim, dim)), dim=dim, mu=0.0)
+        return cls(evaluator=lambda x: np.zeros((len(x), dim, dim)), dim=dim, mu=0.0)
 
     def __add__(self, other: "PerturbationProfile") -> "PerturbationProfile":
         if self.dim != other.dim:
             raise DomainError("cannot add profiles of different dim")
-        mine, theirs = self.value, other.value
+        mine, theirs = self.samples, other.samples
         return PerturbationProfile(
             evaluator=lambda x: mine(x) + theirs(x),
             dim=self.dim,
@@ -244,69 +252,37 @@ def multiplication_operator(profile: PerturbationProfile, grid: GridSpec) -> np.
     """Block-diagonal matrix of the bump sampled on the grid."""
     n, d = grid.points, profile.dim
     _require_dense_budget(n * d, 1, "the multiplication operator")
-    out = np.zeros((n * d, n * d), dtype=complex)
-    for i, x in enumerate(grid.points_array()):
-        out[i * d:(i + 1) * d, i * d:(i + 1) * d] = profile.value(float(x))
-    return out
+    out = np.zeros((n, d, n, d), dtype=complex)
+    site = np.arange(n)
+    out[site, :, site, :] = profile.samples(grid.points_array())
+    return out.reshape(n * d, n * d)
 
 
 # ---------------------------------------------------------------------------
-# the K-real form of grid operators
+# the plane-wave form of grid operators
 
 
-def _pair_rows(x: np.ndarray, out: np.ndarray, points: int, dim: int,
-               sin_phase: complex) -> None:
-    """Write Q^T x (sin_phase = 1j) or Q^H x (sin_phase = -1j) into ``out``.
+def _plane_wave_form(matrix: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray:
+    """F M F^H for the unitary DFT F over the sites, real when it can be.
 
-    The rows of ``out`` follow the columns of Q: sites 0 and n/2, then
-    (e_j + e_{n-j})/sqrt 2 and i (e_j - e_{n-j})/sqrt 2 for j = 1 .. n/2 - 1,
-    each with the dim components of a site.  ``x`` and ``out`` may be
-    transposed views; numpy then walks both in memory order.
-    """
-    m = points // 2
-    sites = x.reshape(points, dim, -1)
-    paired = out.reshape(sites.shape, copy=False)
-    paired[0], paired[1] = sites[0], sites[m]
-    cos, sin = paired[2:m + 1], paired[m + 1:]
-    lo, hi = sites[1:m], sites[points - 1:m:-1]
-    np.add(lo, hi, out=cos)
-    cos *= np.sqrt(0.5)
-    np.subtract(lo, hi, out=sin)
-    sin *= sin_phase * np.sqrt(0.5)
-
-
-def _real_form(matrix: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray | None:
-    """Q^H M Q for the unitary Q whose columns K fixes, if that is real.
-
-    K is the antiunitary (Kf)_j = conj f_{(n-j) mod n}; Q is described in
-    ``_pair_rows``.  Q^H M Q is real exactly when M commutes with K, so the
-    real part is returned when the imaginary part is below K_REAL_REL_TOL
-    max|M|, and None otherwise.  O(n^2): rows and columns are paired by
-    slices, with no matrix product.
+    Each site carries ``dim`` components, which F leaves alone.  F M F^H is
+    real exactly when M commutes with K (see the module docstring), so its
+    real part is returned when the imaginary part is at most
+    K_REAL_REL_TOL max|M|, and the complex form otherwise.  Two orthonormal
+    FFTs over the site axes, O(n^2 log n).
     """
     n = grid.points
-    cols = np.empty(matrix.shape, dtype=complex)
-    _pair_rows(matrix.T, cols.T, n, dim, 1j)  # M Q = (Q^T M^T)^T
-    form = np.empty(matrix.shape, dtype=complex)
-    _pair_rows(cols, form, n, dim, -1j)
-    del cols  # one complex n x n buffer fewer while the real copy is made
+    form = ifft(matrix.reshape(n, dim, n, dim), axis=2, norm="ortho")
+    form = fft(form, axis=0, norm="ortho", overwrite_x=True).reshape(matrix.shape)
     scale = max(float(np.max(np.abs(matrix))), 1e-300)
-    if np.max(np.abs(form.imag)) > K_REAL_REL_TOL * scale:
-        return None
-    return np.ascontiguousarray(form.real)
+    if np.max(np.abs(form.imag)) <= K_REAL_REL_TOL * scale:
+        return np.ascontiguousarray(form.real)
+    return form
 
 
-def _from_real_form(w: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray:
-    """Q w: columns of K-basis coefficients as site-major vectors, O(n k)."""
-    n, m = grid.points, grid.points // 2
-    coeff = w.reshape(n, dim, -1)
-    cos, sin = coeff[2:m + 1], 1j * coeff[m + 1:]
-    out = np.empty(coeff.shape, dtype=complex)
-    out[0], out[m] = coeff[0], coeff[1]
-    r = np.sqrt(0.5)
-    out[1:m] = r * (cos + sin)
-    out[n - 1:m:-1] = r * (cos - sin)
-    return out.reshape(n * dim, -1)
+def _to_grid(w: np.ndarray) -> np.ndarray:
+    """F^H w: plane-wave coefficients of shape (n, dim, k) as site values."""
+    return ifft(w, axis=0, norm="ortho")
 
 
 # ---------------------------------------------------------------------------
@@ -325,12 +301,9 @@ def _heat_trace_curve(
     b_mat = multiplication_operator(b, a1.grid)
     if not np.any(b_mat):
         return np.zeros(len(times))
-    base = _real_form(a1.matrix, a1.grid, a1.dim)
-    step = _real_form(b_mat, a1.grid, a1.dim)
-    if base is None or step is None:
-        base, step = a1.matrix, b_mat
+    base = _plane_wave_form(a1.matrix, a1.grid, a1.dim)
     lam1 = herm_eigvals(base)
-    lam2 = herm_eigvals(base + step)
+    lam2 = herm_eigvals(base + _plane_wave_form(b_mat, a1.grid, a1.dim))
     root = np.sqrt(np.asarray(times, dtype=float))[:, None]
     shift = _erf(root * lam2) - _erf(root * lam1)
     return WITTEN_SIGN * 0.5 * np.sum(shift, axis=1)
@@ -669,66 +642,51 @@ def path_splitting_check(
     (51 against 37 ms at 512 real rows and 228 against 185 ms at 1024, on a
     2-core host; the bound takes A_1 to be the grid's d/(i dx); were it too
     small, the full solve would still be exact).
-    When both endpoints of a leg have a K-real form, each node is solved
-    there and its eigenvectors are mapped back to the grid; each distinct
-    operator is paired into that form once per check.
+    Each distinct operator is brought to its plane-wave form once per check
+    (the form is linear, so the sums along the path are sums of forms); the
+    nodes are solved there and their eigenvectors are mapped back to the grid.
     """
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
     grid, d = a1.grid, b1.dim
-    b1m = multiplication_operator(b1, grid)
-    b2m = multiplication_operator(b2, grid)
+    x = grid.points_array()
+    blocks1, blocks2 = b1.samples(x), b2.samples(x)
     nodes, weights = leggauss(s_nodes)
     s_vals, s_weights = 1.5 + 0.5 * nodes, 0.5 * weights  # mapped to s in [1, 2]
-    site = np.arange(grid.points)
-
-    def site_blocks(m: np.ndarray) -> np.ndarray:
-        return m.reshape(grid.points, d, grid.points, d)[site, :, site, :]
 
     def sup_norm(blocks: np.ndarray) -> float:
         return float(np.max(np.linalg.norm(blocks, ord=2, axis=(1, 2))))
 
-    def leg(base: np.ndarray, step: np.ndarray, real_base, real_step,
+    def leg(base: np.ndarray, step: np.ndarray, blocks: np.ndarray,
             base_radius: float) -> float:
-        """integral_1^2 tr(exp(-t A_s^2) step) ds along A_s = base + (s-1) step.
+        """integral_1^2 tr(exp(-t A_s^2) B) ds along A_s = base + (s-1) step.
 
-        ``real_base`` and ``real_step`` are the K-real forms, or None.
+        ``base`` and ``step`` are plane-wave forms; ``blocks`` holds the
+        d x d site blocks of the multiplication operator B that ``step`` is.
         """
-        blocks = site_blocks(step)
         mass = float(np.sum(np.abs(blocks)))
         if mass <= HEAT_TAIL_ABS_TOL:  # the whole leg is within the budget
             return 0.0
         within = np.sqrt(np.log(mass / HEAT_TAIL_ABS_TOL) / t)
         if within >= base_radius + sup_norm(blocks):
             within = None
-        real = real_base is not None and real_step is not None
-        if real:
-            base, step = real_base, real_step
         total = 0.0
         for s, w in zip(s_vals, s_weights):
             es = herm_eig(base + (s - 1.0) * step, within=within)
-            vectors = es.vectors
-            if real:
-                vectors = _from_real_form(vectors, grid, d)
-            v = vectors.reshape(grid.points, d, -1)
+            v = _to_grid(es.vectors.reshape(grid.points, d, -1))
             bw = np.einsum("xaj,xab,xbj->j", v.conj(), blocks, v).real
             total += w * float(np.sum(np.exp(-t * es.values * es.values) * bw))
         return total
 
-    def real_sum(x, y):
-        return None if x is None or y is None else x + y
-
-    # each distinct operator is paired once (_real_form is linear); the sums
-    # are formed as each leg starts, so no more than four real forms are held
-    real_a1, real_b1, real_b2 = (_real_form(m, grid, d) for m in (a1.matrix, b1m, b2m))
+    form_a1 = _plane_wave_form(a1.matrix, grid, d)
+    form_b1, form_b2 = (
+        _plane_wave_form(multiplication_operator(b, grid), grid, d) for b in (b1, b2)
+    )
     dirac_radius = grid.points * np.pi / (2.0 * grid.half_width)
-    first = leg(a1.matrix, b1m, real_a1, real_b1, dirac_radius)
-    second = leg(a1.matrix + b1m, b2m, real_sum(real_a1, real_b1), real_b2,
-                 dirac_radius + sup_norm(site_blocks(b1m)))
-    real_b3 = real_sum(real_b1, real_b2)
-    if real_b3 is None:
-        real_b3 = _real_form(b1m + b2m, grid, d)
-    direct = leg(a1.matrix, b1m + b2m, real_a1, real_b3, dirac_radius)
+    first = leg(form_a1, form_b1, blocks1, dirac_radius)
+    second = leg(form_a1 + form_b1, form_b2, blocks2,
+                 dirac_radius + sup_norm(blocks1))
+    direct = leg(form_a1, form_b1 + form_b2, blocks1 + blocks2, dirac_radius)
     return PathSplitReport(
         residual=abs(direct - (first + second)),
         direct=direct,

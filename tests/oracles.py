@@ -245,23 +245,6 @@ def dense_from_bands(window: int, bands: dict) -> np.ndarray:
     return out
 
 
-def k_real_basis(points: int, dim: int) -> np.ndarray:
-    """Unitary Q whose columns are fixed by (Kf)_j = conj f_{(n-j) mod n}.
-
-    Column order: sites 0 and n/2, then (e_j + e_{n-j})/sqrt 2 for
-    j = 1 .. n/2 - 1, then i (e_j - e_{n-j})/sqrt 2 for the same j; each
-    site carries ``dim`` components.  Filled one entry at a time.
-    """
-    m = points // 2
-    q = np.zeros((points, points), dtype=complex)
-    q[0, 0] = q[m, 1] = 1.0
-    r = np.sqrt(0.5)
-    for j in range(1, m):
-        q[j, 1 + j] = q[points - j, 1 + j] = r
-        q[j, m + j], q[points - j, m + j] = 1j * r, -1j * r
-    return np.kron(q, np.eye(dim))
-
-
 def toeplitz_truncation(symbol, n: int) -> np.ndarray:
     """Dense n x n compression of a periodic multiplication operator.
 

@@ -11,7 +11,7 @@ import scipy.linalg
 
 import opindex
 from opindex import linalg, scattering, toeplitz, witten
-from opindex.cli import ResultRecord, main, parse_config, run
+from opindex.cli import COMMANDS, ResultRecord, main, parse_config, run
 
 
 def test_public_names_are_used_by_the_library():
@@ -81,9 +81,30 @@ class TestParsing:
             parse_config(["--config", str(path), "witten-estimate"])
         assert excinfo.value.code == 2
 
-    def test_seed_flag_reserved(self):
-        config = parse_config(["toeplitz-example", "--seed", "7"])
-        assert config.seed == 7
+
+def test_every_flag_changes_params():
+    # a flag that parses but leaves its parameter where it was does nothing,
+    # as a store_true flag whose default is already True did
+    for command in COMMANDS:
+        for key, default in parse_config([command]).params.items():
+            argv = [command, "--" + key.replace("_", "-")]
+            if isinstance(default, bool):
+                pass
+            elif isinstance(default, float):
+                argv.append(repr(default + 0.5))
+            elif isinstance(default, int):
+                argv.append(str(default + 2))
+            elif isinstance(default, list):
+                argv.append("0.5")
+            else:
+                assert isinstance(default, str), (command, key, default)
+                argv.append("zz")
+            try:
+                params = parse_config(argv).params
+            except SystemExit as exc:
+                assert exc.code == 2, argv
+                continue
+            assert params[key] != default, argv
 
 
 class TestRecords:

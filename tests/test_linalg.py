@@ -19,18 +19,18 @@ def random_hermitian(n, seed):
 
 
 def dirac_pencil(dim, bump, s, field):
-    """A_1 + s B on 128 points (L = 20), in the grid basis or its K-real form."""
+    """A_1 + s B on 128 points (L = 20), in the grid basis or its plane-wave form."""
     grid = witten.GridSpec(points=128, half_width=20.0)
     a1 = witten.discretize_dirac(grid, dim)
     m = a1.matrix + s * witten.multiplication_operator(bump, grid)
-    return m if field == "complex" else witten._real_form(m, grid, dim)
+    return m if field == "complex" else witten._plane_wave_form(m, grid, dim)
 
 
 LORENTZIAN_2X2 = witten.PerturbationProfile(
-    evaluator=lambda x: np.diag([0.5, 1.3]) / (1.0 + x * x), dim=2
+    evaluator=lambda x: np.diag([0.5, 1.3]) / (1.0 + x * x)[:, None, None], dim=2
 )
 SCALAR_2X2 = witten.PerturbationProfile(
-    evaluator=lambda x: 0.7 * np.eye(2) / (1.0 + x * x), dim=2
+    evaluator=lambda x: 0.7 * np.eye(2) / (1.0 + x * x)[:, None, None], dim=2
 )
 
 

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opindex import witten
-from opindex.constants import K_REAL_REL_TOL, WITTEN_SIGN
+from opindex.constants import WITTEN_SIGN
 from opindex.errors import (
     DomainError,
     HermitianityError,
@@ -32,7 +33,6 @@ from opindex.witten import (
 
 from oracles import (
     heat_trace_quadrature,
-    k_real_basis,
     path_split_full_spectrum,
     suspension_window_trace,
 )
@@ -43,29 +43,29 @@ SMALL_GRID = GridSpec(20.0, 256)
 # On a resolved grid at large t the s-integrand sees only tr B and the
 # off-diagonal part of the weights cancels to rounding; at t = 0.2 it moves
 # the legs by ~5e-12, which the 1e-13 oracle comparison resolves.
+# Evaluators take x of shape (m,); x[:, None, None] scales 2x2 matrices per point.
 MATRIX_BUMP_1 = PerturbationProfile(
-    evaluator=lambda x: np.array(
-        [[1.0 / (1.0 + x * x), 0.8j * np.exp(-4.0 * x * x)],
-         [-0.8j * np.exp(-4.0 * x * x), 0.5 / (1.0 + x * x)]]
-    ),
-    dim=2,
-)
-MATRIX_BUMP_2 = PerturbationProfile(
-    evaluator=lambda x: np.array([[0.4, 0.6 * np.tanh(x)], [0.6 * np.tanh(x), -0.3]])
-    * np.exp(-x * x),
+    evaluator=lambda x: np.diag([1.0, 0.5]) / (1.0 + x * x)[:, None, None]
+    + np.array([[0.0, 0.8j], [-0.8j, 0.0]]) * np.exp(-4.0 * x * x)[:, None, None],
     dim=2,
 )
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 SIGMA_Z = np.diag([1.0, -1.0])
-# real and even, so Phi(-x) = conj Phi(x): the K-real route applies
+MATRIX_BUMP_2 = PerturbationProfile(
+    evaluator=lambda x: (np.diag([0.4, -0.3]) + 0.6 * np.tanh(x)[:, None, None] * SIGMA_X)
+    * np.exp(-x * x)[:, None, None],
+    dim=2,
+)
+# real and even, so Phi(-x) = conj Phi(x): the plane-wave form is real
 REAL_EVEN_BUMP = PerturbationProfile(
-    evaluator=lambda x: (0.5 * np.eye(2) + 0.8 * SIGMA_Z) / (1.0 + x * x)
-    + 0.3 * SIGMA_X * np.exp(-x * x),
+    evaluator=lambda x: (0.5 * np.eye(2) + 0.8 * SIGMA_Z) / (1.0 + x * x)[:, None, None]
+    + 0.3 * SIGMA_X * np.exp(-x * x)[:, None, None],
     dim=2,
 )
 # real but with an odd off-diagonal part: the complex route runs
 TANH_BUMP = PerturbationProfile(
-    evaluator=lambda x: (0.7 * np.eye(2) + 0.9 * SIGMA_X * np.tanh(x)) / (1.0 + x * x),
+    evaluator=lambda x: (0.7 * np.eye(2) + 0.9 * SIGMA_X * np.tanh(x)[:, None, None])
+    / (1.0 + x * x)[:, None, None],
     dim=2,
 )
 
@@ -118,19 +118,32 @@ class TestPerturbationProfile:
         assert bump.has_decay
 
     def test_constant_profile_has_no_decay(self):
-        flat = PerturbationProfile(evaluator=lambda x: 1.0)
+        flat = PerturbationProfile(evaluator=np.ones_like)
         assert not flat.has_decay
 
     def test_non_hermitian_matrix_profile_rejected(self):
         with pytest.raises(DomainError):
             PerturbationProfile(
-                evaluator=lambda x: np.array([[0.0, 1.0], [0.0, 0.0]]), dim=2
+                evaluator=lambda x: np.broadcast_to([[0.0, 1.0], [0.0, 0.0]], (len(x), 2, 2)),
+                dim=2,
             )
 
     def test_addition_tracks_scale(self):
         total = PerturbationProfile.lorentzian(0.7) + PerturbationProfile.lorentzian(0.9)
         assert total.mu == pytest.approx(1.6)
-        assert total.value(0.3)[0, 0].real == pytest.approx(1.6 / 1.09)
+        assert total.samples(np.array([0.3]))[0, 0, 0].real == pytest.approx(1.6 / 1.09)
+
+    @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), MATRIX_BUMP_1,
+                                      TANH_BUMP],
+                             ids=["lorentzian", "matrix-bump-1", "tanh-2x2"])
+    def test_operator_matches_per_site_loop(self, bump):
+        # one vectorised call fills every block; sampled one site at a time,
+        # the same elementwise arithmetic gives the same bits
+        d = bump.dim
+        expected = np.zeros((SMALL_GRID.points * d,) * 2, dtype=complex)
+        for i, x in enumerate(SMALL_GRID.points_array()):
+            expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = bump.samples(np.array([x]))[0]
+        assert np.array_equal(multiplication_operator(bump, SMALL_GRID), expected)
 
 
 class TestHeatTraceRhs:
@@ -158,7 +171,7 @@ class TestHeatTraceRhs:
         grid = GridSpec(16.0, 64)
         a1 = discretize_dirac(grid, dim=2)
         bump = PerturbationProfile(
-            evaluator=lambda x: np.diag([1.0, 0.5]) / (1.0 + x * x), dim=2
+            evaluator=lambda x: np.diag([1.0, 0.5]) / (1.0 + x * x)[:, None, None], dim=2
         )
         b_mat = multiplication_operator(bump, grid)
         ours = heat_trace_rhs(a1, bump, 2.0)
@@ -206,11 +219,10 @@ class TestWittenEstimate:
         grid = GridSpec(40.0, points)
         a1 = discretize_dirac(grid, dim=bump.dim)
         b_mat = multiplication_operator(bump, grid)
-        form = witten._real_form(a1.matrix + b_mat, grid, bump.dim)
-        assert (form is not None) == real_route
-        box = grid.spacing / (2.0 * np.pi) * sum(
-            bump.trace_at(float(x)) for x in grid.points_array()
-        )
+        form = witten._plane_wave_form(a1.matrix + b_mat, grid, bump.dim)
+        assert (form.dtype == np.float64) == real_route
+        traces = np.trace(bump.samples(grid.points_array()), axis1=1, axis2=2).real
+        box = grid.spacing / (2.0 * np.pi) * np.sum(traces)
         est = witten_index_estimate(a1, bump)
         assert abs(est.plateau_value - WITTEN_SIGN * box) <= bound
 
@@ -257,11 +269,11 @@ class TestClosedForm:
 
     def test_no_decay_rejected(self):
         with pytest.raises(InsufficientDecayError):
-            witten_index_closed_form(PerturbationProfile(evaluator=lambda x: 1.0))
+            witten_index_closed_form(PerturbationProfile(evaluator=np.ones_like))
 
     def test_matrix_trace(self):
         bump = PerturbationProfile(
-            evaluator=lambda x: np.diag([1.0, 2.0]) / (1.0 + x * x), dim=2
+            evaluator=lambda x: np.diag([1.0, 2.0]) / (1.0 + x * x)[:, None, None], dim=2
         )
         assert witten_index_closed_form(bump) == pytest.approx(1.5, abs=1e-9)
 
@@ -493,20 +505,24 @@ class TestPathSplitWindow:
 GRIDS = [(40.0, 512), (40.0, 1024), (20.0, 256), (12.0, 48), (13.7, 96)]
 
 
+def dft_basis(points: int, dim: int) -> np.ndarray:
+    """The unitary DFT over the sites, each site carrying dim components."""
+    return np.kron(scipy.linalg.dft(points, scale="sqrtn"), np.eye(dim))
+
+
 class TestRealForm:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("half_width, points", GRIDS)
     def test_dirac_is_real_and_matches_dense_basis(self, half_width, points, dim):
+        # d/(i dx) is diagonal in the plane-wave basis, with the DFT frequencies
         grid = GridSpec(half_width, points)
         a = discretize_dirac(grid, dim=dim).matrix
         scale = np.max(np.abs(a))
-        q = k_real_basis(points, dim)
-        assert np.max(np.abs(q.conj().T @ q - np.eye(points * dim))) <= 1e-14
-        dense = q.conj().T @ a @ q
-        assert np.max(np.abs(dense.imag)) <= K_REAL_REL_TOL * scale
-        form = witten._real_form(a, grid, dim)
-        assert form is not None and form.dtype == np.float64
-        assert np.max(np.abs(form - dense.real)) <= 1e-14 * scale
+        form = witten._plane_wave_form(a, grid, dim)
+        assert form.dtype == np.float64
+        frequencies = 2.0 * np.pi * np.fft.fftfreq(points, grid.spacing)
+        analytic = np.kron(np.diag(frequencies), np.eye(dim))
+        assert np.max(np.abs(form - analytic)) <= 1e-14 * scale
 
     @pytest.mark.parametrize(
         "bump, real_route",
@@ -524,16 +540,23 @@ class TestRealForm:
     def test_route_detection(self, bump, real_route):
         a1 = discretize_dirac(SMALL_GRID, dim=bump.dim)
         b_mat = multiplication_operator(bump, SMALL_GRID)
+        f = dft_basis(SMALL_GRID.points, bump.dim)
         for m in (b_mat, a1.matrix + b_mat):
-            assert (witten._real_form(m, SMALL_GRID, bump.dim) is not None) == real_route
+            form = witten._plane_wave_form(m, SMALL_GRID, bump.dim)
+            assert (form.dtype == np.float64) == real_route
+            # the dense products themselves round at about n eps
+            dense = f @ m @ f.conj().T
+            assert np.max(np.abs(form - dense)) <= 1e-12 * np.max(np.abs(m))
 
-    @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), REAL_EVEN_BUMP],
-                             ids=["lorentzian", "real-even-2x2"])
+    @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), REAL_EVEN_BUMP,
+                                      TANH_BUMP],
+                             ids=["lorentzian", "real-even-2x2", "tanh-2x2"])
     def test_eigenvectors_map_back(self, bump):
-        a = discretize_dirac(SMALL_GRID, dim=bump.dim).matrix
+        n, d = SMALL_GRID.points, bump.dim
+        a = discretize_dirac(SMALL_GRID, dim=d).matrix
         a = a + multiplication_operator(bump, SMALL_GRID)
-        es = witten.herm_eig(witten._real_form(a, SMALL_GRID, bump.dim), within=3.0)
-        v = witten._from_real_form(es.vectors, SMALL_GRID, bump.dim)
+        es = witten.herm_eig(witten._plane_wave_form(a, SMALL_GRID, d), within=3.0)
+        v = witten._to_grid(es.vectors.reshape(n, d, -1)).reshape(n * d, -1)
         assert 0 < v.shape[1] < v.shape[0]
         assert np.max(np.abs(a @ v - v * es.values)) <= 1e-12 * np.max(np.abs(a))
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
