@@ -51,7 +51,7 @@ K_REAL_REL_TOL = 1e-14
 
 # --- scattering -------------------------------------------------------------
 S_UNITARITY_TOL = 1e-8           # max|S^H S - 1| per emitted scattering matrix
-TRANSFER_DET_TOL = 1e-8          # |det T - 1| for every transfer matrix
+TRANSFER_DET_TOL = 1e-8          # |det - 1| of every (psi, psi') slab chain
 FREE_SELF_TEST_TOL = 1e-6        # V == 0 batch self-test drift bound
 RESONANCE_THRESHOLD = 0.1        # extrapolated |t(0)| above this: resonance
 RESONANCE_GUARD_LO = 0.02        # evidence inside [lo, threshold): inconclusive

@@ -4,13 +4,16 @@ Each function here recomputes a quantity by a route structurally different
 from the library implementation: series/Pade matrix exponentials and the
 heat operator assembled from eigenmodes, RK4 ODE stepping, the
 slab-by-slab transfer sweep, analytic two-interface matching,
-transcendental root counting, Gauss-Legendre quadrature of the heat-trace
+transcendental root counting, the Sturm count over the whole Dirichlet
+box, Gauss-Legendre quadrature of the heat-trace
 s-integral over the full spectrum, suspension traces from numpy's own
 LAPACK, dense matrices of shift-lattice band maps assembled entry by
 entry, the dense basis in which parity-symmetric grid operators are real,
 and Fredholm kernel/cokernel counts from the singular values of dense
 Toeplitz truncations.
 """
+
+import math
 
 import numpy as np
 from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
@@ -177,6 +180,28 @@ def square_well_bound_count(depth: float, half_width: float = 1.0) -> int:
             branch += 1
 
     return count("even") + count("odd")
+
+
+def dirichlet_negative_count_full(v, half_width: float, n: int) -> int:
+    """Negative eigenvalues of the Dirichlet Hamiltonian, pivoting every site.
+
+    The Sturm sweep the library ran before it eliminated the free end runs
+    in closed form: one left-to-right LDL^T pivot per interior site of the
+    box, V == 0 or not.
+    """
+    h = 2.0 * half_width / n
+    x = -half_width + h * np.arange(1, n)
+    diag = 2.0 / (h * h) + np.asarray(v.evaluator(x), dtype=float)
+    off2 = (1.0 / (h * h)) ** 2
+    count = 0
+    q = math.inf
+    for d in memoryview(diag):
+        if q == 0.0:
+            q = 1e-300
+        q = d - off2 / q
+        if q < 0:
+            count += 1
+    return count
 
 
 def _s_integral(base, step, t: float, s_nodes: int) -> float:

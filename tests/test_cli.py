@@ -204,6 +204,15 @@ class TestExitCodes:
         assert record.results["error_kind"] == "IntegrationError"
         assert "at k = " in record.results["error"]
 
+    def test_deep_well_levinson_residual_exits_1(self):
+        # the integrated chain passes its det check at depth 100; the exit
+        # comes from the balance, whose k grid stops at 40 for any depth
+        record, code = run(parse_config(["levinson", "--well-depth", "100"]))
+        assert code == 1
+        assert "error_kind" not in record.results
+        assert record.results["n_bound"] == 7
+        assert 0.05 < record.residuals["levinson"] < 0.1
+
     def test_eigensolver_error_exits_1(self, monkeypatch):
         # the path split's windowed solves compute their vectors by dstein
         dstein = scipy.linalg.lapack.dstein

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from opindex import scattering
 from opindex.errors import (
     DomainError,
     InconclusiveError,
+    IntegrationError,
     RangeError,
 )
 from opindex.scattering import (
@@ -28,6 +30,7 @@ from opindex.scattering import (
 from opindex.witten import GridSpec
 
 from oracles import (
+    dirichlet_negative_count_full,
     rk4_transfer,
     square_well_bound_count,
     square_well_transfer,
@@ -36,6 +39,12 @@ from oracles import (
 )
 
 WELL = Potential.square_well(2.0, 1.0)
+# depth 3 on [-3, -1] and depth 8 on [1, 2], with a free gap between them
+TWO_WELLS = Potential(
+    evaluator=lambda x: np.where((x > -3.0) & (x < -1.0), -3.0, 0.0)
+    + np.where((x > 1.0) & (x < 2.0), -8.0, 0.0),
+    support_radius=3.0,
+)
 
 
 class TestTransferMatrix:
@@ -47,6 +56,29 @@ class TestTransferMatrix:
         t = transfer_matrices(WELL, np.array([1.0]))[0]
         det = t[0, 0] * t[1, 1] - t[0, 1] * t[1, 0]
         assert abs(det - 1.0) <= 1e-8
+
+    def test_wrong_propagator_trips_chain_det_check(self, monkeypatch):
+        # flipping the sign of the [1, 0] entry, -q sin(q h), makes every
+        # slab's det cos(2 q h) instead of 1
+        exact = scattering._slab_propagators
+
+        def flipped(q, h):
+            out = exact(q, h)
+            out[..., 1, 0] *= -1.0
+            return out
+
+        monkeypatch.setattr(scattering, "_slab_propagators", flipped)
+        with pytest.raises(IntegrationError, match="slab chain"):
+            transfer_matrices(WELL, np.geomspace(1e-3, 40.0, 16))
+
+    def test_deep_well_passes_chain_det_check(self):
+        # on the default grid det T drifts 1.1e-8 at k = 1.05e-3 through the
+        # 1/(ik) of the amplitude frame, while the integrated (psi, psi')
+        # chain stays at rounding, and S is unitary to rounding
+        deep = Potential.square_well(100.0, 1.0)
+        t = transfer_matrices(deep, default_k_grid())
+        flux = np.abs(1.0 / t[:, 1, 1]) ** 2 + np.abs(t[:, 1, 0] / t[:, 1, 1]) ** 2
+        assert np.max(np.abs(flux - 1.0)) <= 1e-12
 
     def test_matches_interface_matching_oracle(self):
         ours = transfer_matrices(WELL, np.array([1.0]))[0]
@@ -143,11 +175,13 @@ class TestSturmCount:
         ham += np.diag(off, 1) + np.diag(off, -1)
         return int(np.count_nonzero(np.linalg.eigvalsh(ham) < 0))
 
-    @pytest.mark.parametrize("depth, half_width, n", [
-        (0.5, 5.0, 64), (2.0, 5.0, 100), (25.0, 6.0, 160), (60.0, 5.0, 256),
-    ])
-    def test_matches_dense_eigvalsh(self, depth, half_width, n):
-        well = Potential.square_well(depth, 1.0)
+    @pytest.mark.parametrize("well, half_width, n", [
+        pytest.param(Potential.square_well(depth, 1.0), half_width, n,
+                     id=f"{depth}-{half_width}-{n}")
+        for depth, half_width, n in
+        [(0.5, 5.0, 64), (2.0, 5.0, 100), (25.0, 6.0, 160), (60.0, 5.0, 256)]
+    ] + [pytest.param(TWO_WELLS, 16.0, 320, id="two-wells-16.0-320")])
+    def test_matches_dense_eigvalsh(self, well, half_width, n):
         count = _dirichlet_negative_count(well, half_width, n)
         assert count == self.dense_negative_count(well, half_width, n)
         assert count >= 1
@@ -161,6 +195,65 @@ class TestSturmCount:
         )
         count = _dirichlet_negative_count(flat, 4.0, 8)
         assert count == self.dense_negative_count(flat, 4.0, 8) == 2
+
+    @pytest.mark.parametrize("half_width, n", [
+        (60.0, 24000), (60.0, 48000), (120.0, 48000),
+    ])
+    def test_matches_full_box_loop(self, half_width, n):
+        # the depths run through the first twelve zero-energy resonances
+        # (k pi / 2)^2, where a level sits at threshold, and 1e-9 either
+        # side of the first
+        first = (np.pi / 2.0) ** 2
+        depths = np.concatenate((
+            np.geomspace(0.01, 400.0, 36),
+            [(k * np.pi / 2.0) ** 2 for k in range(1, 13)],
+            [first * (1.0 - 1e-9), first * (1.0 + 1e-9)],
+        ))
+        for depth in depths:
+            well = Potential.square_well(float(depth), 1.0)
+            assert _dirichlet_negative_count(well, half_width, n) == \
+                dirichlet_negative_count_full(well, half_width, n), depth
+
+    @pytest.mark.parametrize("half_width, n", [
+        (2.0, 8), (3.0, 12), (5.0, 64), (5.0, 100),
+    ])
+    def test_short_free_runs_match_full_box_loop(self, half_width, n):
+        # free end runs of 2 to 40 sites: an error in the closed-form
+        # elimination constants, which a long run would hide, moves counts here
+        for depth in np.arange(0.01, 400.0, 0.1):
+            well = Potential.square_well(float(depth), 1.0)
+            assert _dirichlet_negative_count(well, half_width, n) == \
+                dirichlet_negative_count_full(well, half_width, n), depth
+
+    def test_free_potential_counts_zero(self):
+        assert _dirichlet_negative_count(Potential.free(), 60.0, 24000) == 0
+
+    @pytest.mark.parametrize("well, half_width, n, first, last", [
+        # live only at the first and last interior sites, x = -2.9 and 2.9
+        pytest.param(Potential(
+            evaluator=lambda x: np.where(np.abs(np.abs(x) - 2.9) < 0.05, -400.0, 0.0),
+            support_radius=3.0), 3.0, 60, 0, 58, id="end-sites"),
+        # live at x = 0 alone: a one-site delta well
+        pytest.param(Potential(
+            evaluator=lambda x: np.where(np.abs(x - 0.03) < 0.04, -50.0, 0.0),
+            support_radius=1.0), 5.0, 100, 49, 49, id="single-site"),
+        pytest.param(TWO_WELLS, 16.0, 320, 130, 178, id="two-wells"),
+    ])
+    def test_live_site_edge_cases(self, well, half_width, n, first, last):
+        h = 2.0 * half_width / n
+        live = np.flatnonzero(well.evaluator(-half_width + h * np.arange(1, n)))
+        assert (live[0], live[-1]) == (first, last)
+        count = _dirichlet_negative_count(well, half_width, n)
+        assert count == dirichlet_negative_count_full(well, half_width, n)
+        assert count == self.dense_negative_count(well, half_width, n)
+        assert count >= 1
+
+    def test_count_does_not_depend_on_the_box(self):
+        for depth in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
+            well = Potential.square_well(depth, 1.0)
+            assert _dirichlet_negative_count(well, 60.0, 24000) == \
+                _dirichlet_negative_count(well, 600.0, 240000) == \
+                square_well_bound_count(depth, 1.0), depth
 
 
 class TestScatteringCurve:
@@ -384,6 +477,20 @@ class TestSigmaFactor:
             (sigma.evaluator(lam + eps) - sigma.evaluator(lam - eps)) / (2 * eps)
         )
         assert np.max(np.abs(numeric - 1j * sigma.profile(lam))) <= 1e-6
+
+    @pytest.mark.parametrize("limit", [
+        np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]),
+        np.diag([np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)]),
+    ], ids=["trivial", "hot-slot-1", "hot-slot-0", "general-pi/3"])
+    def test_array_lambda_matches_scalar_calls(self, limit):
+        sigma = build_sigma(np.asarray(limit, dtype=complex))
+        lam = np.concatenate((-np.geomspace(1e9, 1e-3, 40), [0.0],
+                              np.linspace(-3.0, 3.0, 25), np.geomspace(1e-3, 1e9, 40)))
+        for f in (sigma.evaluator, sigma.profile):
+            stacked = f(lam)
+            assert stacked.shape == (len(lam), 2, 2)
+            assert np.array_equal(stacked, np.array([f(float(l)) for l in lam]))
+            assert f(0.7).shape == (2, 2)
 
     def test_non_unitary_input_rejected(self):
         with pytest.raises(DomainError):
