@@ -1,8 +1,10 @@
 """Exception hierarchy.
 
-The CLI maps these onto exit codes: usage problems are raised by argparse
-itself (exit 2), ``InconclusiveError`` and ``NonConvergenceError`` map to
-exit 3, and failed verifications (residual above threshold) map to exit 1.
+Every library error derives from ``OpIndexError``.  The CLI maps them onto
+exit codes: argparse usage errors and ``DomainError`` (an input out of range,
+a non-Hermitian profile value, an operator over the dense memory budget)
+exit 2; ``InconclusiveError`` and ``NonConvergenceError`` exit 3; failed
+verifications (residual above threshold) and every other library error exit 1.
 """
 
 
@@ -12,10 +14,6 @@ class OpIndexError(Exception):
 
 class ShapeError(OpIndexError):
     """Operand has the wrong shape (non-square trace, size mismatch...)."""
-
-
-class HermitianityError(OpIndexError):
-    """A Hermitian-flagged matrix failed its symmetry check."""
 
 
 class EigensolverError(OpIndexError):

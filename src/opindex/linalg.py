@@ -39,8 +39,7 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg import lapack
 
-from .constants import INPUT_HERMITIAN_REL_TOL
-from .errors import EigensolverError, HermitianityError, ShapeError
+from .errors import EigensolverError, ShapeError
 
 
 def _widened(m) -> np.ndarray:
@@ -54,25 +53,6 @@ def as_square_matrix(m) -> np.ndarray:
     a = _widened(m)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    return a
-
-
-def hermitian_defect(m: np.ndarray) -> float:
-    """Relative size of M - M^H, measured against the largest entry."""
-    m = np.asarray(m)
-    scale = max(float(np.max(np.abs(m))), 1e-300)
-    return float(np.max(np.abs(m - m.conj().T))) / scale
-
-
-def require_hermitian(m) -> np.ndarray:
-    """Validate the Hermitian flag of a matrix and return it as an array."""
-    a = as_square_matrix(m)
-    defect = hermitian_defect(a)
-    if defect > INPUT_HERMITIAN_REL_TOL:
-        raise HermitianityError(
-            f"matrix is not Hermitian: relative defect {defect:.3e} > "
-            f"{INPUT_HERMITIAN_REL_TOL:.1e}"
-        )
     return a
 
 

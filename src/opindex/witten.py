@@ -22,17 +22,21 @@ eigenvalues of the two endpoints alone.  The s-quadrature survives only in
 ``path_splitting_check``, which tests the trace-derivative formula along the
 path, and as an independent oracle in the test suite.
 
-Both of those routes solve in the plane-wave basis F, the unitary DFT over
-the grid sites, where the discretised d/(i dx) is diagonal.  The
-antiunitary (Kf)_j = conj f_{(n-j) mod n}, parity on the periodic grid
-followed by complex conjugation, is plain complex conjugation there, so
-F M F^H is real exactly when M commutes with K.  A bump does when
-Phi(-x) = conj Phi(x), as every real even profile does (the Lorentzians
-among them).  ``_plane_wave_form`` keeps the real part when the imaginary
-part is at rounding level, and LAPACK's real ``dsyevr`` then does the solve
-for about a quarter of the complex flops.  The dtype of the form is the
-only switch: a profile without the symmetry, such as an odd off-diagonal
-coupling, gives a complex form and is solved in complex arithmetic.
+Both of those routes, and the suspension, hold the operators in the
+plane-wave basis F, the unitary DFT over the grid sites, where both are
+known in closed form and no grid-space matrix is formed.  d/(i dx) is the
+diagonal of the frequencies 2 pi fftfreq(n, h), so its spectrum needs no
+eigensolve; a bump with site values Phi_j is the block circulant
+[c_{(k - l) mod n}] of c = fft(Phi, axis=0) / n (Gray, Toeplitz and
+Circulant Matrices: A Review, 2006).  The antiunitary
+(Kf)_j = conj f_{(n-j) mod n}, parity on the periodic grid followed by
+complex conjugation, is plain complex conjugation in this basis, so c is
+real exactly when Phi(-x) = conj Phi(x), as for every real even profile
+(the Lorentzians among them).  The real part of c is kept when its
+imaginary part is at rounding level, and LAPACK's real ``dsyevr`` then does
+the solve for about a quarter of the complex flops; a profile without the
+symmetry, such as an odd off-diagonal coupling, is solved in complex
+arithmetic.
 
 For the suspension route note that tr f(D D^H) = tr f(D^H D) identically for
 every *square* matrix D, so a full trace of the heat difference on a finite
@@ -55,10 +59,10 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, ifft
 from scipy.integrate import quad
-from scipy.linalg import circulant
 from scipy.special import erf as _erf
 
 from .constants import (
@@ -75,7 +79,7 @@ from .constants import (
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
-from .linalg import herm_eig, herm_eigvals, require_hermitian, svd
+from .linalg import herm_eig, herm_eigvals, svd
 
 
 # ---------------------------------------------------------------------------
@@ -109,24 +113,19 @@ class GridSpec:
         return T_CEILING_FACTOR * (self.half_width / np.pi) ** 2
 
 
-DEFAULT_GRID = GridSpec(half_width=40.0, points=1024)
-
-
 @dataclass(frozen=True)
 class LatticeOperator:
-    """Dense Hermitian operator over a grid (n*dim square)."""
+    """The momentum d/(i dx) on a periodic grid, held by its plane-wave form:
+    the diagonal of the grid frequencies, times I_dim for a bump of that dim.
+    """
 
-    matrix: np.ndarray = field(repr=False)
     grid: GridSpec
-    dim: int = 1
 
-    def __post_init__(self):
-        n = self.grid.points * self.dim
-        if self.matrix.shape != (n, n):
-            raise DomainError(
-                f"matrix shape {self.matrix.shape} does not match grid size {n}"
-            )
-        require_hermitian(self.matrix)
+    def frequencies(self, dim: int = 1) -> np.ndarray:
+        """Diagonal of the plane-wave form: m pi / L in DFT order, that is
+        2 pi fftfreq(n, h), each repeated dim times."""
+        grid = self.grid
+        return np.repeat(2.0 * np.pi * np.fft.fftfreq(grid.points, grid.spacing), dim)
 
 
 def _require_dense_budget(rows: int, copies: int, what: str) -> None:
@@ -139,40 +138,44 @@ def _require_dense_budget(rows: int, copies: int, what: str) -> None:
         )
 
 
-def _fourier_multiplier(grid: GridSpec, factor: complex) -> np.ndarray:
-    """The multiplier factor * k on the discrete plane waves exp(i k x).
-
-    k = m pi / L for m = -n/2 .. n/2 - 1.  The operator is circulant, so
-    entry (i, j) is col[(i - j) % n] with col the inverse FFT of the symbol.
-    """
-    n = grid.points
-    k = (np.arange(n) - n // 2) * (np.pi / grid.half_width)
-    return circulant(np.fft.ifft(np.fft.ifftshift(factor * k)))
-
-
-def discretize_dirac(grid: GridSpec, dim: int = 1) -> LatticeOperator:
+def discretize_dirac(grid: GridSpec) -> LatticeOperator:
     """Momentum operator d/(i dx) by Fourier spectral differentiation.
 
     Eigenvectors are the discrete plane waves exp(i pi m x / L) and the
-    eigenvalues the frequencies m pi / L for m = -n/2 .. n/2 - 1; the matrix
-    is Hermitian by construction.
+    eigenvalues the frequencies m pi / L for m = -n/2 .. n/2 - 1.
     """
-    _require_dense_budget(grid.points * dim, 1, "the Dirac operator")
-    mat = _fourier_multiplier(grid, 1.0)
-    mat = 0.5 * (mat + mat.conj().T)
-    if dim > 1:
-        mat = np.kron(mat, np.eye(dim))
-    return LatticeOperator(matrix=mat, grid=grid, dim=dim)
+    return LatticeOperator(grid=grid)
+
+
+def _circulant(c: np.ndarray) -> np.ndarray:
+    """The block circulant [c_{(k - l) mod n}] of blocks c of shape (n, d, d)."""
+    n, d, _ = c.shape
+    wrapped = np.concatenate((c[::-1], c[:0:-1]))[n - 1:]  # c_0, c_{n-1}, .., c_1
+    s0, s1, s2 = wrapped.strides
+    view = as_strided(wrapped, shape=(n, d, n, d), strides=(-s0, s1, s0, s2))
+    return view.copy().reshape(n * d, n * d)
 
 
 def spectral_time_derivative(grid: GridSpec) -> np.ndarray:
-    """Skew-adjoint d/dt on the periodic grid, via the same plane waves."""
-    mat = _fourier_multiplier(grid, 1j)
+    """Skew-adjoint d/dt = i d/(i dt) on the periodic grid, dense in the sites.
+
+    The operator is circulant, its first column the inverse FFT of the symbol.
+    """
+    mat = _circulant(ifft(1j * LatticeOperator(grid).frequencies())[:, None, None])
     return 0.5 * (mat - mat.conj().T)
 
 
 # ---------------------------------------------------------------------------
 # perturbation profiles
+
+
+def _check_hermitian(x: np.ndarray, values: np.ndarray) -> None:
+    """Raise DomainError at the first x where |Phi - Phi^H| > tol max(1, |Phi|)."""
+    defect = np.max(np.abs(values - values.conj().transpose(0, 2, 1)), axis=(1, 2))
+    size = np.max(np.abs(values), axis=(1, 2))
+    bad = defect > INPUT_HERMITIAN_REL_TOL * np.maximum(1.0, size)
+    if np.any(bad):
+        raise DomainError(f"profile value at x={x[np.argmax(bad)]} is not Hermitian")
 
 
 @dataclass(frozen=True)
@@ -195,15 +198,10 @@ class PerturbationProfile:
     def __post_init__(self):
         probe = np.linspace(-200.0, 200.0, 2001)
         v = self.samples(probe)
+        # Hermitian symmetry is probed at every tenth point here, and at
+        # every site of each grid the profile is sampled on
+        _check_hermitian(probe[::10], v[::10])
         size = np.max(np.abs(v), axis=(1, 2))
-        # Hermitian symmetry is probed at every tenth point
-        w = v[::10]
-        herm = np.max(np.abs(w - w.conj().transpose(0, 2, 1)), axis=(1, 2))
-        bad = herm > INPUT_HERMITIAN_REL_TOL * np.maximum(1.0, size[::10])
-        if np.any(bad):
-            raise DomainError(
-                f"profile value at x={probe[::10][np.argmax(bad)]} is not Hermitian"
-            )
         object.__setattr__(
             self, "decay_certificate", float(np.max(size * (1.0 + probe * probe)))
         )
@@ -248,35 +246,40 @@ class PerturbationProfile:
         )
 
 
-def multiplication_operator(profile: PerturbationProfile, grid: GridSpec) -> np.ndarray:
-    """Block-diagonal matrix of the bump sampled on the grid."""
-    n, d = grid.points, profile.dim
-    _require_dense_budget(n * d, 1, "the multiplication operator")
-    out = np.zeros((n, d, n, d), dtype=complex)
-    site = np.arange(n)
-    out[site, :, site, :] = profile.samples(grid.points_array())
-    return out.reshape(n * d, n * d)
+def _site_values(b: PerturbationProfile, grid: GridSpec) -> np.ndarray:
+    """Phi at the grid sites, shape (n, dim, dim), each value checked Hermitian."""
+    x = grid.points_array()
+    values = b.samples(x)
+    _check_hermitian(x, values)
+    return values
 
 
 # ---------------------------------------------------------------------------
-# the plane-wave form of grid operators
+# the plane-wave forms
 
 
-def _plane_wave_form(matrix: np.ndarray, grid: GridSpec, dim: int) -> np.ndarray:
-    """F M F^H for the unitary DFT F over the sites, real when it can be.
+def _bump_form(values: np.ndarray) -> np.ndarray:
+    """F M F^H for the bump M with site values ``values``, real when it can be.
 
-    Each site carries ``dim`` components, which F leaves alone.  F M F^H is
-    real exactly when M commutes with K (see the module docstring), so its
-    real part is returned when the imaginary part is at most
-    K_REAL_REL_TOL max|M|, and the complex form otherwise.  Two orthonormal
-    FFTs over the site axes, O(n^2 log n).
+    F is the unitary DFT over the sites; each site carries ``dim``
+    components, which F leaves alone.  The form is the block circulant of
+    c = fft(values, axis=0) / n, real exactly when M commutes with K (see
+    the module docstring), so the real part of c is used when its imaginary
+    part is at most K_REAL_REL_TOL max|values|, and c itself otherwise.
     """
-    n = grid.points
-    form = ifft(matrix.reshape(n, dim, n, dim), axis=2, norm="ortho")
-    form = fft(form, axis=0, norm="ortho", overwrite_x=True).reshape(matrix.shape)
-    scale = max(float(np.max(np.abs(matrix))), 1e-300)
-    if np.max(np.abs(form.imag)) <= K_REAL_REL_TOL * scale:
-        return np.ascontiguousarray(form.real)
+    n, d, _ = values.shape
+    _require_dense_budget(n * d, 1, "the plane-wave form")
+    c = fft(values, axis=0) / n
+    scale = max(float(np.max(np.abs(values))), 1e-300)
+    if np.max(np.abs(c.imag)) <= K_REAL_REL_TOL * scale:
+        c = c.real
+    return _circulant(c)
+
+
+def _operator_form(a1: LatticeOperator, values: np.ndarray) -> np.ndarray:
+    """The plane-wave form of A_1 + M, M the bump with site values ``values``."""
+    form = _bump_form(values)
+    form.flat[:: len(form) + 1] += a1.frequencies(values.shape[1])
     return form
 
 
@@ -289,21 +292,27 @@ def _to_grid(w: np.ndarray) -> np.ndarray:
 # heat-trace side
 
 
+def _pair_spectra(
+    a1: LatticeOperator, b: PerturbationProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending spectra of A_1, in closed form, and of A_1 + B."""
+    values = _site_values(b, a1.grid)
+    free = np.sort(a1.frequencies(b.dim))
+    if not np.any(values):
+        return free, free
+    return free, herm_eigvals(_operator_form(a1, values))
+
+
 def _heat_trace_curve(
-    a1: LatticeOperator, b: PerturbationProfile, times: np.ndarray
+    lam1: np.ndarray, lam2: np.ndarray, times: np.ndarray
 ) -> np.ndarray:
     """sqrt(t/pi) * integral_1^2 tr(exp(-t A_s^2) B) ds at each t, exactly.
 
-    Evaluated as (1/2) tr[erf(sqrt(t) A_2) - erf(sqrt(t) A_1)] with
-    A_2 = A_1 + B; subtracting the two ascending spectra term by term sums
-    small differences instead of cancelling two sums of n unit-size terms.
+    Evaluated as (1/2) tr[erf(sqrt(t) A_2) - erf(sqrt(t) A_1)] from the
+    ascending spectra of A_1 and A_2 = A_1 + B; subtracting them term by term
+    sums small differences instead of cancelling two sums of n unit-size
+    terms.
     """
-    b_mat = multiplication_operator(b, a1.grid)
-    if not np.any(b_mat):
-        return np.zeros(len(times))
-    base = _plane_wave_form(a1.matrix, a1.grid, a1.dim)
-    lam1 = herm_eigvals(base)
-    lam2 = herm_eigvals(base + _plane_wave_form(b_mat, a1.grid, a1.dim))
     root = np.sqrt(np.asarray(times, dtype=float))[:, None]
     shift = _erf(root * lam2) - _erf(root * lam1)
     return WITTEN_SIGN * 0.5 * np.sum(shift, axis=1)
@@ -318,7 +327,7 @@ def heat_trace_rhs(a1: LatticeOperator, b: PerturbationProfile, t: float) -> flo
     """
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
-    return float(_heat_trace_curve(a1, b, np.array([t]))[0])
+    return float(_heat_trace_curve(*_pair_spectra(a1, b), np.array([t]))[0])
 
 
 @dataclass(frozen=True)
@@ -339,8 +348,35 @@ def default_t_schedule(grid: GridSpec) -> np.ndarray:
     return np.geomspace(1.0, top, count)
 
 
-def _find_plateau(t_valid: np.ndarray, values: np.ndarray):
-    """Longest run of consecutive samples differing by < PLATEAU_DIFF_TOL."""
+def _valid_times(grid: GridSpec, t_schedule: np.ndarray | None) -> np.ndarray:
+    """The heat times of the schedule at or below the grid's validity ceiling."""
+    sched = np.asarray(
+        default_t_schedule(grid) if t_schedule is None else t_schedule, dtype=float
+    )
+    if len(sched) < 8:
+        raise DomainError("t schedule must contain at least 8 points")
+    if np.any(np.diff(sched) <= 0) or sched[0] <= 0:
+        raise DomainError("t schedule must be positive and ascending")
+    valid = sched[sched <= grid.t_ceiling()]
+    if len(valid) < PLATEAU_MIN_SAMPLES:
+        raise NonConvergenceError(
+            "t schedule has too few samples below the grid ceiling "
+            f"{grid.t_ceiling():.2f}",
+            t_samples=sched,
+            values=None,
+        )
+    return valid
+
+
+def _plateau_estimate(
+    t_valid: np.ndarray, lam1: np.ndarray, lam2: np.ndarray
+) -> WittenEstimate:
+    """The heat-trace curve of the pair with spectra lam1, lam2 and its plateau.
+
+    The plateau is the longest run of consecutive samples differing by
+    < PLATEAU_DIFF_TOL, and needs at least PLATEAU_MIN_SAMPLES of them.
+    """
+    values = _heat_trace_curve(lam1, lam2, t_valid)
     diffs = np.abs(np.diff(values))
     best = None  # (length, start, end) with end inclusive
     start = 0
@@ -360,8 +396,12 @@ def _find_plateau(t_valid: np.ndarray, values: np.ndarray):
     _, lo, hi = best
     window = values[lo:hi + 1]
     value = float(np.mean(window))
-    return value, (float(t_valid[lo]), float(t_valid[hi])), float(
-        np.max(np.abs(window - value))
+    return WittenEstimate(
+        t_samples=t_valid,
+        rhs_values=values,
+        plateau_value=value,
+        plateau_window=(float(t_valid[lo]), float(t_valid[hi])),
+        uncertainty=float(np.max(np.abs(window - value))),
     )
 
 
@@ -376,30 +416,8 @@ def witten_index_estimate(
     plateau detection; failure to find a plateau of at least five samples
     raises NonConvergenceError carrying the curve.
     """
-    sched = np.asarray(
-        default_t_schedule(a1.grid) if t_schedule is None else t_schedule, dtype=float
-    )
-    if len(sched) < 8:
-        raise DomainError("t schedule must contain at least 8 points")
-    if np.any(np.diff(sched) <= 0) or sched[0] <= 0:
-        raise DomainError("t schedule must be positive and ascending")
-    valid = sched[sched <= a1.grid.t_ceiling()]
-    if len(valid) < PLATEAU_MIN_SAMPLES:
-        raise NonConvergenceError(
-            "t schedule has too few samples below the grid ceiling "
-            f"{a1.grid.t_ceiling():.2f}",
-            t_samples=sched,
-            values=None,
-        )
-    values = _heat_trace_curve(a1, b, valid)
-    value, window, uncertainty = _find_plateau(valid, values)
-    return WittenEstimate(
-        t_samples=valid,
-        rhs_values=values,
-        plateau_value=value,
-        plateau_window=window,
-        uncertainty=uncertainty,
-    )
+    valid = _valid_times(a1.grid, t_schedule)
+    return _plateau_estimate(valid, *_pair_spectra(a1, b))
 
 
 def witten_index_closed_form(b: PerturbationProfile) -> float:
@@ -448,9 +466,12 @@ class ThetaProfile:
 class SuspensionOperator:
     """Dense realisation of d/dt + A_1 + theta(t) B on a (t, x) product grid.
 
-    ``theta_samples`` are the values actually placed on the time circle
-    (rise centred at -L_t/2, mirrored fall at +L_t/2) and ``window_mask``
-    marks the rows of the rise half over which traces are reported.
+    The matrix is held in the basis I_t (x) F of t-sites times x-plane-waves;
+    the change is unitary and keeps the t-rows, so singular values and window
+    masses are those of the grid-space matrix.  ``theta_samples`` are the
+    values actually placed on the time circle (rise centred at -L_t/2,
+    mirrored fall at +L_t/2) and ``window_mask`` marks the rows of the rise
+    half over which traces are reported.
     """
 
     matrix: np.ndarray = field(repr=False)
@@ -492,13 +513,13 @@ def build_suspension(
     theta_samples = np.asarray(
         theta.evaluator(t + half / 2.0) - theta.evaluator(t - half / 2.0), dtype=float
     )
-    d_t = spectral_time_derivative(t_grid)
-    b_mat = multiplication_operator(b, x_grid)
-    mat = (
-        np.kron(d_t, np.eye(n_x))
-        + np.kron(np.eye(t_grid.points), a1.matrix)
-        + np.kron(np.diag(theta_samples.astype(complex)), b_mat)
-    )
+    bump = _bump_form(_site_values(b, x_grid))
+    # d_t (x) I + I (x) A_1 + diag(theta) (x) B, assembled in place
+    mat = np.kron(spectral_time_derivative(t_grid), np.eye(n_x))
+    mat.flat[:: len(mat) + 1] += np.tile(a1.frequencies(b.dim), t_grid.points)
+    for i, weight in enumerate(theta_samples):
+        block = slice(i * n_x, (i + 1) * n_x)
+        mat[block, block] += weight * bump
     window_mask = np.repeat(t < 0.0, n_x)
     return SuspensionOperator(
         matrix=mat,
@@ -574,7 +595,9 @@ def check_composition(
 
     A2 = A1 + B1 and A3 = A2 + B2.  The closed forms satisfy the rule by
     linearity of the profile integral; the heat estimates satisfy it up to
-    plateau uncertainty.
+    plateau uncertainty.  A3 is formed as A1 + (B1 + B2) from the profile
+    sum, so the three heat curves need only the spectra of A1 (in closed
+    form), A2 and A3, and the second and third curves share that of A3.
     """
     if not (b1.has_decay and b2.has_decay):
         raise InsufficientDecayError("both profiles need decay certificates")
@@ -584,15 +607,13 @@ def check_composition(
         witten_index_closed_form(b2),
         witten_index_closed_form(b3),
     )
-    a2 = LatticeOperator(
-        matrix=a1.matrix + multiplication_operator(b1, a1.grid),
-        grid=a1.grid,
-        dim=a1.dim,
-    )
+    valid = _valid_times(a1.grid, t_schedule)
+    lam1, lam2 = _pair_spectra(a1, b1)
+    lam3 = _pair_spectra(a1, b3)[1]
     est = (
-        witten_index_estimate(a1, b1, t_schedule),
-        witten_index_estimate(a2, b2, t_schedule),
-        witten_index_estimate(a1, b3, t_schedule),
+        _plateau_estimate(valid, lam1, lam2),
+        _plateau_estimate(valid, lam2, lam3),
+        _plateau_estimate(valid, lam1, lam3),
     )
     return CompositionReport(
         closed_form_residual=abs(cf[0] + cf[1] - cf[2]),
@@ -634,59 +655,52 @@ def path_splitting_check(
     with c = sqrt(ln(sum_xy |B_xy| / HEAT_TAIL_ABS_TOL) / t); by
     Cauchy-Schwarz over the unit rows of the eigenvector matrix the dropped
     pairs add at most HEAT_TAIL_ABS_TOL to the integrand.  The weights
-    v^H B v of the kept pairs come from the d x d diagonal blocks of the
-    multiplication operator B, so no dense product with B is formed.  When
-    c reaches the bound n pi / 2L + max_x |Phi_base(x)| + max_x |Phi_step(x)|
-    on the spectral radius of every A_s along the leg, the window would keep
-    every pair and the full spectrum is solved instead, which is cheaper
-    (51 against 37 ms at 512 real rows and 228 against 185 ms at 1024, on a
-    2-core host; the bound takes A_1 to be the grid's d/(i dx); were it too
-    small, the full solve would still be exact).
-    Each distinct operator is brought to its plane-wave form once per check
-    (the form is linear, so the sums along the path are sums of forms); the
-    nodes are solved there and their eigenvectors are mapped back to the grid.
+    v^H B v of the kept pairs come from the d x d site values of the bump
+    B, so no dense product with B is formed.  When c reaches the bound
+    n pi / 2L + max_x |Phi_base(x)| + max_x |Phi_step(x)| on the spectral
+    radius of every A_s along the leg, the window would keep every pair and
+    the full spectrum is solved instead, which is cheaper (51 against 37 ms
+    at 512 real rows and 228 against 185 ms at 1024, on a 2-core host).
+    Each node is solved on the plane-wave form of A_1 plus the bump with
+    site values base + (s-1) step, and its eigenvectors are mapped back to
+    the grid.
     """
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
-    grid, d = a1.grid, b1.dim
-    x = grid.points_array()
-    blocks1, blocks2 = b1.samples(x), b2.samples(x)
+    if b1.dim != b2.dim:
+        raise DomainError("cannot join legs of profiles of different dim")
+    grid = a1.grid
+    values1, values2 = _site_values(b1, grid), _site_values(b2, grid)
     nodes, weights = leggauss(s_nodes)
     s_vals, s_weights = 1.5 + 0.5 * nodes, 0.5 * weights  # mapped to s in [1, 2]
 
-    def sup_norm(blocks: np.ndarray) -> float:
-        return float(np.max(np.linalg.norm(blocks, ord=2, axis=(1, 2))))
+    def sup_norm(values: np.ndarray) -> float:
+        return float(np.max(np.linalg.norm(values, ord=2, axis=(1, 2))))
 
-    def leg(base: np.ndarray, step: np.ndarray, blocks: np.ndarray,
-            base_radius: float) -> float:
-        """integral_1^2 tr(exp(-t A_s^2) B) ds along A_s = base + (s-1) step.
+    dirac_radius = grid.points * np.pi / (2.0 * grid.half_width)
 
-        ``base`` and ``step`` are plane-wave forms; ``blocks`` holds the
-        d x d site blocks of the multiplication operator B that ``step`` is.
+    def leg(base: np.ndarray, step: np.ndarray) -> float:
+        """integral_1^2 tr(exp(-t A_s^2) B) ds along A_s = A_1 + base + (s-1) step.
+
+        ``base`` and ``step`` are site values of bumps, ``step`` that of B.
         """
-        mass = float(np.sum(np.abs(blocks)))
+        mass = float(np.sum(np.abs(step)))
         if mass <= HEAT_TAIL_ABS_TOL:  # the whole leg is within the budget
             return 0.0
         within = np.sqrt(np.log(mass / HEAT_TAIL_ABS_TOL) / t)
-        if within >= base_radius + sup_norm(blocks):
+        if within >= dirac_radius + sup_norm(base) + sup_norm(step):
             within = None
         total = 0.0
         for s, w in zip(s_vals, s_weights):
-            es = herm_eig(base + (s - 1.0) * step, within=within)
-            v = _to_grid(es.vectors.reshape(grid.points, d, -1))
-            bw = np.einsum("xaj,xab,xbj->j", v.conj(), blocks, v).real
+            es = herm_eig(_operator_form(a1, base + (s - 1.0) * step), within=within)
+            v = _to_grid(es.vectors.reshape(grid.points, b1.dim, -1))
+            bw = np.einsum("xaj,xab,xbj->j", v.conj(), step, v).real
             total += w * float(np.sum(np.exp(-t * es.values * es.values) * bw))
         return total
 
-    form_a1 = _plane_wave_form(a1.matrix, grid, d)
-    form_b1, form_b2 = (
-        _plane_wave_form(multiplication_operator(b, grid), grid, d) for b in (b1, b2)
-    )
-    dirac_radius = grid.points * np.pi / (2.0 * grid.half_width)
-    first = leg(form_a1, form_b1, blocks1, dirac_radius)
-    second = leg(form_a1 + form_b1, form_b2, blocks2,
-                 dirac_radius + sup_norm(blocks1))
-    direct = leg(form_a1, form_b1 + form_b2, blocks1 + blocks2, dirac_radius)
+    first = leg(np.zeros_like(values1), values1)
+    second = leg(values1, values2)
+    direct = leg(np.zeros_like(values1), values1 + values2)
     return PathSplitReport(
         residual=abs(direct - (first + second)),
         direct=direct,

@@ -8,14 +8,15 @@ transcendental root counting, the Sturm count over the whole Dirichlet
 box, Gauss-Legendre quadrature of the heat-trace
 s-integral over the full spectrum, suspension traces from numpy's own
 LAPACK, dense matrices of shift-lattice band maps assembled entry by
-entry, the dense basis in which parity-symmetric grid operators are real,
-and Fredholm kernel/cokernel counts from the singular values of dense
-Toeplitz truncations.
+entry, the grid-space Dirac and bump matrices with their plane-wave forms
+taken through the dense DFT matrix, and Fredholm kernel/cokernel counts
+from the singular values of dense Toeplitz truncations.
 """
 
 import math
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
 
 from opindex.errors import DomainError, InconclusiveError
@@ -202,6 +203,54 @@ def dirichlet_negative_count_full(v, half_width: float, n: int) -> int:
         if q < 0:
             count += 1
     return count
+
+
+def dirac_matrix(grid, dim: int = 1) -> np.ndarray:
+    """Dense grid-space d/(i dx) by Fourier spectral differentiation.
+
+    The circulant whose first column is the inverse FFT of the symbol
+    k = m pi / L, m = -n/2 .. n/2 - 1, symmetrised, times I_dim.
+    """
+    n = grid.points
+    k = (np.arange(n) - n // 2) * (np.pi / grid.half_width)
+    mat = scipy.linalg.circulant(np.fft.ifft(np.fft.ifftshift(k)))
+    return np.kron(0.5 * (mat + mat.conj().T), np.eye(dim))
+
+
+def multiplication_matrix(profile, grid) -> np.ndarray:
+    """Dense block-diagonal matrix of the bump sampled on the grid sites."""
+    n, d = grid.points, profile.dim
+    out = np.zeros((n, d, n, d), dtype=complex)
+    site = np.arange(n)
+    out[site, :, site, :] = profile.samples(grid.points_array())
+    return out.reshape(n * d, n * d)
+
+
+def dft_matrix(points: int) -> np.ndarray:
+    """The unitary DFT over the sites, F_jk = exp(-2 pi i jk / n) / sqrt(n).
+
+    jk is reduced mod n first, so every entry is within a rounding of exact
+    (scipy.linalg.dft's phases drift by ~n eps at the far corner).
+    """
+    j = np.arange(points)
+    return np.exp(-2j * np.pi * (np.outer(j, j) % points) / points) / np.sqrt(points)
+
+
+def dft_basis(points: int, dim: int) -> np.ndarray:
+    """The unitary DFT over the sites, each site carrying dim components."""
+    return np.kron(dft_matrix(points), np.eye(dim))
+
+
+def plane_wave_form(matrix: np.ndarray, points: int, dim: int) -> np.ndarray:
+    """F M F^H by dense products with the DFT matrix over the sites.
+
+    F = F_sites (x) I_dim, so F_sites is applied to both site axes of M.
+    """
+    f = dft_matrix(points)
+    m = matrix.reshape(points, dim, points, dim)
+    left = np.tensordot(f, m, axes=(1, 0))  # (k, a, j, b)
+    form = np.tensordot(left, f.conj(), axes=(2, 1))  # (k, a, b, l)
+    return form.transpose(0, 1, 3, 2).reshape(matrix.shape)
 
 
 def _s_integral(base, step, t: float, s_nodes: int) -> float:

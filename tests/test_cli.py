@@ -1,6 +1,7 @@
 """CLI contract: parsing precedence, record formats, exit codes."""
 
 import ast
+import importlib.util
 import json
 import tracemalloc
 from pathlib import Path
@@ -28,6 +29,24 @@ def test_public_names_are_used_by_the_library():
             elif isinstance(node, ast.Attribute):
                 used.add(node.attr)
     assert sorted(set(opindex.__all__) - used) == []
+
+
+def test_tracer_finds_every_wrapped_name():
+    # the benchmark's tracer looks each wrapped function up by name, so a
+    # renamed or deleted library function breaks its traced runs
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
+    spec = importlib.util.spec_from_file_location("perfbench_layers", path)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    tracer = layers.build_tracer(opindex)
+    tracer.install()
+    try:
+        _, code = opindex.cli.run(parse_config(["compose-check", "--points", "256"]))
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    assert tracer.stats["witten.discretize_dirac.calls"] >= 1
+    assert tracer.stats["witten.check_composition.calls"] == 1
 
 
 class TestParsing:
@@ -239,9 +258,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv, first_allocation", [
         # 160000 suspension rows: 7 dense copies of 410 GB each
         (["ptf-check", "--nt", "400", "--nx", "400"], "spectral_time_derivative"),
-        # a 65536-point Dirac operator alone is a 69 GB dense matrix
-        (["compose-check", "--points", "65536"], "circulant"),
-    ], ids=["ptf-check", "compose-check"])
+        # a 65536-point plane-wave form alone is a 69 GB dense matrix
+        (["compose-check", "--points", "65536"], "_circulant"),
+        (["witten-estimate", "--points", "65536"], "_circulant"),
+    ], ids=["ptf-check", "compose-check", "witten-estimate"])
     def test_over_memory_budget_exits_2(self, monkeypatch, argv, first_allocation):
         # the guard must refuse before the first dense allocation is reached
         def allocates(*args):

@@ -9,7 +9,7 @@ from opindex import witten
 from opindex.errors import DomainError, ShapeError
 from opindex.linalg import EigenSystem, as_square_matrix, herm_eig, herm_eigvals, svd
 
-from oracles import heat_operator, pade_expm
+from oracles import dirac_matrix, heat_operator, multiplication_matrix, pade_expm
 
 
 def random_hermitian(n, seed):
@@ -21,9 +21,10 @@ def random_hermitian(n, seed):
 def dirac_pencil(dim, bump, s, field):
     """A_1 + s B on 128 points (L = 20), in the grid basis or its plane-wave form."""
     grid = witten.GridSpec(points=128, half_width=20.0)
-    a1 = witten.discretize_dirac(grid, dim)
-    m = a1.matrix + s * witten.multiplication_operator(bump, grid)
-    return m if field == "complex" else witten._plane_wave_form(m, grid, dim)
+    if field == "complex":
+        return dirac_matrix(grid, dim) + s * multiplication_matrix(bump, grid)
+    values = s * witten._site_values(bump, grid)
+    return witten._operator_form(witten.discretize_dirac(grid), values)
 
 
 LORENTZIAN_2X2 = witten.PerturbationProfile(

@@ -2,19 +2,16 @@
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from opindex import witten
 from opindex.constants import WITTEN_SIGN
 from opindex.errors import (
     DomainError,
-    HermitianityError,
     InsufficientDecayError,
     NonConvergenceError,
 )
 from opindex.witten import (
     GridSpec,
-    LatticeOperator,
     PerturbationProfile,
     ThetaProfile,
     build_suspension,
@@ -22,7 +19,6 @@ from opindex.witten import (
     default_t_schedule,
     discretize_dirac,
     heat_trace_rhs,
-    multiplication_operator,
     path_splitting_check,
     ptf_lhs,
     spectral_time_derivative,
@@ -32,8 +28,12 @@ from opindex.witten import (
 )
 
 from oracles import (
+    dft_basis,
+    dirac_matrix,
     heat_trace_quadrature,
+    multiplication_matrix,
     path_split_full_spectrum,
+    plane_wave_form,
     suspension_window_trace,
 )
 
@@ -90,25 +90,30 @@ class TestGridSpec:
 
 class TestDiscretizeDirac:
     def test_constant_in_kernel(self, small_dirac):
-        out = small_dirac.matrix @ np.ones(SMALL_GRID.points)
+        assert small_dirac.frequencies()[0] == 0.0
+        out = dirac_matrix(SMALL_GRID) @ np.ones(SMALL_GRID.points)
         assert np.max(np.abs(out)) <= 1e-10
 
     def test_plane_wave_eigenvector(self, small_dirac):
-        x = SMALL_GRID.points_array()
-        wave = np.exp(1j * np.pi * x / SMALL_GRID.half_width)
-        out = small_dirac.matrix @ wave
-        expected = (np.pi / SMALL_GRID.half_width) * wave
-        assert np.max(np.abs(out - expected)) <= 1e-10
+        # F^H maps plane-wave coefficient k to a wave of the k-th frequency,
+        # which the grid-space spectral derivative multiplies by that frequency
+        n = SMALL_GRID.points
+        waves = witten._to_grid(np.eye(n)[:, None, :]).reshape(n, n)
+        out = dirac_matrix(SMALL_GRID) @ waves
+        assert np.max(np.abs(out - waves * small_dirac.frequencies())) <= 1e-10
 
     def test_spectrum_is_scaled_integers(self, small_dirac):
         n, length = SMALL_GRID.points, SMALL_GRID.half_width
-        values = np.linalg.eigvalsh(small_dirac.matrix)
-        expected = np.sort(np.arange(-n // 2, n // 2) * (np.pi / length))
+        values = np.sort(small_dirac.frequencies())
+        expected = np.arange(-n // 2, n // 2) * (np.pi / length)
         assert np.max(np.abs(values - expected)) <= 1e-10
 
     def test_time_derivative_skew(self):
         d_t = spectral_time_derivative(SMALL_GRID)
         assert np.max(np.abs(d_t + d_t.conj().T)) <= 1e-14
+        # d/dt = i d/(i dt), the grid-space Dirac matrix of the oracle times i
+        oracle = 1j * dirac_matrix(SMALL_GRID)
+        assert np.max(np.abs(d_t - oracle)) <= 1e-14 * np.max(np.abs(oracle))
 
 
 class TestPerturbationProfile:
@@ -137,13 +142,27 @@ class TestPerturbationProfile:
                                       TANH_BUMP],
                              ids=["lorentzian", "matrix-bump-1", "tanh-2x2"])
     def test_operator_matches_per_site_loop(self, bump):
-        # one vectorised call fills every block; sampled one site at a time,
-        # the same elementwise arithmetic gives the same bits
-        d = bump.dim
-        expected = np.zeros((SMALL_GRID.points * d,) * 2, dtype=complex)
+        # one vectorised call fills every block of the multiplication operator;
+        # sampled one site at a time, the same elementwise arithmetic gives
+        # the same bits
+        values = witten._site_values(bump, SMALL_GRID)
+        assert values.shape == (SMALL_GRID.points, bump.dim, bump.dim)
         for i, x in enumerate(SMALL_GRID.points_array()):
-            expected[i * d:(i + 1) * d, i * d:(i + 1) * d] = bump.samples(np.array([x]))[0]
-        assert np.array_equal(multiplication_operator(bump, SMALL_GRID), expected)
+            assert np.array_equal(values[i], bump.samples(np.array([x]))[0])
+
+    def test_hermitian_at_every_grid_site(self):
+        # Hermitian on the probe grid (a point every 2.0), but not at the grid
+        # site x = 0.46875 of SMALL_GRID, where a narrow imaginary part sits
+        bad = PerturbationProfile(
+            evaluator=lambda x: 1.0 / (1.0 + x * x)
+            + 1j * np.exp(-(((x - 0.46875) / 0.01) ** 2))
+        )
+        assert 0.46875 in SMALL_GRID.points_array()
+        a1 = discretize_dirac(SMALL_GRID)
+        with pytest.raises(DomainError, match="x=0.46875"):
+            heat_trace_rhs(a1, bad, 1.0)
+        with pytest.raises(DomainError):
+            witten_index_estimate(a1, bad)
 
 
 class TestHeatTraceRhs:
@@ -153,10 +172,11 @@ class TestHeatTraceRhs:
     @pytest.mark.parametrize("s_nodes", [8, 16])
     def test_matches_quadrature_oracle(self, small_dirac, s_nodes):
         bump = PerturbationProfile.lorentzian(1.0)
-        b_mat = multiplication_operator(bump, SMALL_GRID)
+        b_mat = multiplication_matrix(bump, SMALL_GRID)
+        a_mat = dirac_matrix(SMALL_GRID)
         for t in (0.5, 2.0, 8.0):
             ours = heat_trace_rhs(small_dirac, bump, t)
-            oracle = heat_trace_quadrature(small_dirac.matrix, b_mat, t, s_nodes)
+            oracle = heat_trace_quadrature(a_mat, b_mat, t, s_nodes)
             assert abs(ours - oracle) <= 1e-9
 
     def test_positive_orientation(self, small_dirac):
@@ -169,14 +189,38 @@ class TestHeatTraceRhs:
 
     def test_matrix_valued_profile(self):
         grid = GridSpec(16.0, 64)
-        a1 = discretize_dirac(grid, dim=2)
+        a1 = discretize_dirac(grid)
         bump = PerturbationProfile(
             evaluator=lambda x: np.diag([1.0, 0.5]) / (1.0 + x * x)[:, None, None], dim=2
         )
-        b_mat = multiplication_operator(bump, grid)
+        b_mat = multiplication_matrix(bump, grid)
         ours = heat_trace_rhs(a1, bump, 2.0)
-        oracle = heat_trace_quadrature(a1.matrix, b_mat, 2.0, 8)
+        oracle = heat_trace_quadrature(dirac_matrix(grid, 2), b_mat, 2.0, 8)
         assert abs(ours - oracle) <= 1e-9
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["scalar-first", "2x2-first"])
+    def test_one_dirac_serves_every_dim(self, order):
+        # the Dirac operator takes its dim from the bump, so one operator pairs
+        # with a 2x2 bump and a scalar one in either order
+        grid = GridSpec(16.0, 64)
+        a1 = discretize_dirac(grid)
+        bumps = {1: PerturbationProfile.lorentzian(0.7), 2: MATRIX_BUMP_1}
+        for dim in order:
+            bump = bumps[dim]
+            oracle = heat_trace_quadrature(
+                dirac_matrix(grid, dim), multiplication_matrix(bump, grid), 1.0, 16
+            )
+            assert abs(heat_trace_rhs(a1, bump, 1.0) - oracle) <= 1e-9
+            est = witten_index_estimate(a1, bump)
+            curve = [heat_trace_rhs(a1, bump, t) for t in est.t_samples]
+            assert np.max(np.abs(est.rhs_values - curve)) <= 1e-14
+
+    @pytest.mark.parametrize("order", [(1, 2), (2, 1)], ids=["scalar-first", "2x2-first"])
+    def test_path_split_rejects_mixed_dims(self, order):
+        bumps = {1: PerturbationProfile.lorentzian(0.7), 2: MATRIX_BUMP_1}
+        a1 = discretize_dirac(GridSpec(16.0, 64))
+        with pytest.raises(DomainError, match="different dim"):
+            path_splitting_check(a1, bumps[order[0]], bumps[order[1]], 1.0)
 
 
 class TestWittenEstimate:
@@ -194,12 +238,10 @@ class TestWittenEstimate:
 
     def test_curve_matches_quadrature_oracle(self, small_dirac):
         bump = PerturbationProfile.lorentzian(1.0)
-        b_mat = multiplication_operator(bump, SMALL_GRID)
+        a_mat = dirac_matrix(SMALL_GRID)
+        b_mat = multiplication_matrix(bump, SMALL_GRID)
         est = witten_index_estimate(small_dirac, bump)
-        oracle = [
-            heat_trace_quadrature(small_dirac.matrix, b_mat, t, 8)
-            for t in est.t_samples
-        ]
+        oracle = [heat_trace_quadrature(a_mat, b_mat, t, 8) for t in est.t_samples]
         assert np.max(np.abs(est.rhs_values - oracle)) <= 1e-9
 
     @pytest.mark.parametrize(
@@ -217,9 +259,8 @@ class TestWittenEstimate:
         # integral (h / 2 pi) sum_i tr Phi(x_i) over the box, whichever
         # route solves the eigenproblems
         grid = GridSpec(40.0, points)
-        a1 = discretize_dirac(grid, dim=bump.dim)
-        b_mat = multiplication_operator(bump, grid)
-        form = witten._plane_wave_form(a1.matrix + b_mat, grid, bump.dim)
+        a1 = discretize_dirac(grid)
+        form = witten._operator_form(a1, witten._site_values(bump, grid))
         assert (form.dtype == np.float64) == real_route
         traces = np.trace(bump.samples(grid.points_array()), axis1=1, axis2=2).real
         box = grid.spacing / (2.0 * np.pi) * np.sum(traces)
@@ -318,15 +359,22 @@ class TestSuspension:
         m = sus.matrix
         assert np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) > 0.01
 
-    def test_adjoint_consistency(self, small_suspension):
-        a1, bump, sus, _ = small_suspension
+    def grid_space_adjoint(self, bump, theta_samples):
+        """D^H in the grid basis, from the oracles' dense Dirac and bump."""
         d_t = spectral_time_derivative(self.T_GRID)
-        b_mat = multiplication_operator(bump, self.X_GRID)
-        independent = (
+        return (
             np.kron(-d_t, np.eye(self.X_GRID.points))
-            + np.kron(np.eye(self.T_GRID.points), a1.matrix)
-            + np.kron(np.diag(sus.theta_samples.astype(complex)), b_mat)
+            + np.kron(np.eye(self.T_GRID.points), dirac_matrix(self.X_GRID))
+            + np.kron(np.diag(theta_samples.astype(complex)),
+                      multiplication_matrix(bump, self.X_GRID))
         )
+
+    def test_adjoint_consistency(self, small_suspension):
+        # the matrix is held in the t-site (x) x-plane-wave basis
+        _, bump, sus, _ = small_suspension
+        basis = np.kron(np.eye(self.T_GRID.points), dft_basis(self.X_GRID.points, 1))
+        independent = basis @ self.grid_space_adjoint(bump, sus.theta_samples)
+        independent = independent @ basis.conj().T
         assert np.max(np.abs(sus.matrix.conj().T - independent)) <= 1e-10
 
     @pytest.mark.parametrize(
@@ -360,10 +408,13 @@ class TestSuspension:
         assert np.max(np.abs(again.values - spectrum.values)) <= 1e-12 * scale
 
     def test_window_trace_matches_numpy_oracle(self, small_suspension):
-        _, _, sus, spectrum = small_suspension
+        # the oracle runs on the grid-space matrix: the change of x basis
+        # must leave the window masses alone
+        _, bump, sus, spectrum = small_suspension
+        grid_space = self.grid_space_adjoint(bump, sus.theta_samples).conj().T
         for t in (0.5, 1.0, 2.0):
             ours = ptf_lhs(sus, t, spectrum)
-            oracle = suspension_window_trace(sus.matrix, sus.window_mask, t)
+            oracle = suspension_window_trace(grid_space, sus.window_mask, t)
             assert abs(ours - oracle) <= 1e-12 * abs(oracle)
 
     def test_window_trace_matches_rhs(self, small_suspension):
@@ -426,6 +477,24 @@ class TestComposition:
         scale = max(abs(report.direct), abs(report.first_leg), abs(report.second_leg))
         assert report.residual <= 1e-3 * scale
 
+    def test_each_distinct_operator_solved_once(self, small_dirac, monkeypatch):
+        # A1 has its spectrum in closed form; check_composition solves A1 + B1
+        # and A1 + (B1 + B2), and a single estimate solves A1 + B
+        rows = []
+        solve = witten.herm_eigvals
+
+        def spy(m):
+            rows.append(len(m))
+            return solve(m)
+
+        monkeypatch.setattr(witten, "herm_eigvals", spy)
+        b1 = PerturbationProfile.lorentzian(0.7)
+        check_composition(small_dirac, b1, PerturbationProfile.lorentzian(0.9))
+        assert rows == [SMALL_GRID.points] * 2
+        rows.clear()
+        witten_index_estimate(small_dirac, b1)
+        assert rows == [SMALL_GRID.points]
+
     def test_path_split_refines(self, small_dirac):
         b1 = PerturbationProfile.lorentzian(0.7)
         b2 = PerturbationProfile.lorentzian(0.9)
@@ -460,12 +529,11 @@ class TestComposition:
              "real-first-leg-2x2"],
     )
     def test_path_split_matches_full_spectrum_oracle(self, b1, b2, t):
-        a1 = discretize_dirac(SMALL_GRID, dim=b1.dim)
-        report = path_splitting_check(a1, b1, b2, t)
+        report = path_splitting_check(discretize_dirac(SMALL_GRID), b1, b2, t)
         oracle = path_split_full_spectrum(
-            a1.matrix,
-            multiplication_operator(b1, SMALL_GRID),
-            multiplication_operator(b2, SMALL_GRID),
+            dirac_matrix(SMALL_GRID, b1.dim),
+            multiplication_matrix(b1, SMALL_GRID),
+            multiplication_matrix(b2, SMALL_GRID),
             t,
         )
         ours = (report.direct, report.first_leg, report.second_leg)
@@ -505,24 +573,20 @@ class TestPathSplitWindow:
 GRIDS = [(40.0, 512), (40.0, 1024), (20.0, 256), (12.0, 48), (13.7, 96)]
 
 
-def dft_basis(points: int, dim: int) -> np.ndarray:
-    """The unitary DFT over the sites, each site carrying dim components."""
-    return np.kron(scipy.linalg.dft(points, scale="sqrtn"), np.eye(dim))
-
-
 class TestRealForm:
     @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("half_width, points", GRIDS)
     def test_dirac_is_real_and_matches_dense_basis(self, half_width, points, dim):
-        # d/(i dx) is diagonal in the plane-wave basis, with the DFT frequencies
+        # d/(i dx) is diagonal in the plane-wave basis, with the DFT frequencies:
+        # F A F^H = diag, checked as A F^H = F^H diag (F is unitary), since the
+        # second dense product alone rounds at ~1.2e-14 max|A| on 512 points
         grid = GridSpec(half_width, points)
-        a = discretize_dirac(grid, dim=dim).matrix
+        a = dirac_matrix(grid, dim)
         scale = np.max(np.abs(a))
-        form = witten._plane_wave_form(a, grid, dim)
-        assert form.dtype == np.float64
-        frequencies = 2.0 * np.pi * np.fft.fftfreq(points, grid.spacing)
-        analytic = np.kron(np.diag(frequencies), np.eye(dim))
-        assert np.max(np.abs(form - analytic)) <= 1e-14 * scale
+        diagonal = discretize_dirac(grid).frequencies(dim)
+        assert diagonal.dtype == np.float64
+        waves = dft_basis(points, dim).conj().T
+        assert np.max(np.abs(a @ waves - waves * diagonal)) <= 1e-14 * scale
 
     @pytest.mark.parametrize(
         "bump, real_route",
@@ -538,14 +602,16 @@ class TestRealForm:
              "matrix-bump-1", "matrix-bump-2", "tanh-2x2"],
     )
     def test_route_detection(self, bump, real_route):
-        a1 = discretize_dirac(SMALL_GRID, dim=bump.dim)
-        b_mat = multiplication_operator(bump, SMALL_GRID)
-        f = dft_basis(SMALL_GRID.points, bump.dim)
-        for m in (b_mat, a1.matrix + b_mat):
-            form = witten._plane_wave_form(m, SMALL_GRID, bump.dim)
+        d = bump.dim
+        values = witten._site_values(bump, SMALL_GRID)
+        b_mat = multiplication_matrix(bump, SMALL_GRID)
+        a1 = discretize_dirac(SMALL_GRID)
+        for m, form in ((b_mat, witten._bump_form(values)),
+                        (dirac_matrix(SMALL_GRID, d) + b_mat,
+                         witten._operator_form(a1, values))):
             assert (form.dtype == np.float64) == real_route
             # the dense products themselves round at about n eps
-            dense = f @ m @ f.conj().T
+            dense = plane_wave_form(m, SMALL_GRID.points, d)
             assert np.max(np.abs(form - dense)) <= 1e-12 * np.max(np.abs(m))
 
     @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), REAL_EVEN_BUMP,
@@ -553,18 +619,12 @@ class TestRealForm:
                              ids=["lorentzian", "real-even-2x2", "tanh-2x2"])
     def test_eigenvectors_map_back(self, bump):
         n, d = SMALL_GRID.points, bump.dim
-        a = discretize_dirac(SMALL_GRID, dim=d).matrix
-        a = a + multiplication_operator(bump, SMALL_GRID)
-        es = witten.herm_eig(witten._plane_wave_form(a, SMALL_GRID, d), within=3.0)
+        a = dirac_matrix(SMALL_GRID, d) + multiplication_matrix(bump, SMALL_GRID)
+        form = witten._operator_form(
+            discretize_dirac(SMALL_GRID), witten._site_values(bump, SMALL_GRID)
+        )
+        es = witten.herm_eig(form, within=3.0)
         v = witten._to_grid(es.vectors.reshape(n, d, -1)).reshape(n * d, -1)
         assert 0 < v.shape[1] < v.shape[0]
         assert np.max(np.abs(a @ v - v * es.values)) <= 1e-12 * np.max(np.abs(a))
         assert np.max(np.abs(v.conj().T @ v - np.eye(v.shape[1]))) <= 1e-12
-
-
-class TestLatticeOperator:
-    def test_hermitian_flag_checked(self):
-        bad = np.zeros((SMALL_GRID.points, SMALL_GRID.points), dtype=complex)
-        bad[0, 1] = 1.0
-        with pytest.raises(HermitianityError):
-            LatticeOperator(matrix=bad, grid=SMALL_GRID)
