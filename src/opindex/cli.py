@@ -181,14 +181,44 @@ def _to_native(x):
 # parsing
 
 
+_THETA_PROFILES = {
+    "logistic": witten.ThetaProfile.logistic,
+    "erf": witten.ThetaProfile.erf_profile,
+}
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+    if not values:
+        raise argparse.ArgumentTypeError(f"empty numeric list {text!r}")
+    return values
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _tag_list(text: str) -> list[str]:
+    return [tok.strip() for tok in text.split(",") if tok.strip()]
+
+
+def _theta_tags(text: str) -> str:
+    """A comma list of distinct known connection profiles, returned as given."""
+    tags = _tag_list(text)
+    if not tags:
+        raise argparse.ArgumentTypeError(f"empty profile list {text!r}")
+    for tag in tags:
+        if tag not in _THETA_PROFILES:
+            raise argparse.ArgumentTypeError(
+                f"unknown connection profile {tag!r}; "
+                f"known: {', '.join(_THETA_PROFILES)}"
+            )
+    if len(set(tags)) < len(tags):
+        raise argparse.ArgumentTypeError(f"repeated profile in {text!r}")
+    return text
+
+
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and its {command: subparser} map."""
     parser = argparse.ArgumentParser(
         prog="opindex",
         description="Operator-index laboratory: compressed-shift indices, "
@@ -249,7 +279,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nx", type=int, default=48, help="space-grid points")
     p.add_argument("--t-half-width", type=float, default=16.0)
     p.add_argument("--x-half-width", type=float, default=12.0)
-    p.add_argument("--theta-tags", default="logistic,erf",
+    p.add_argument("--theta-tags", type=_theta_tags, default="logistic,erf",
                    help="comma list of connection profiles to compare")
     p.add_argument("--max-residual", type=float, default=0.1,
                    help="relative bound for |lhs - rhs|")
@@ -314,7 +344,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    default=[0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
     p.add_argument("--well-width", type=float, default=1.0)
     p.add_argument("--max-residual", type=float, default=LEVINSON_MAX_RESIDUAL)
-    return parser
+    # add_parser fills the subparsers action's choices: {command: subparser}
+    return parser, sub.choices
 
 
 def _read_config_file(path: str) -> dict:
@@ -343,15 +374,12 @@ def parse_config(argv: list[str]) -> RunConfig:
     File values act as defaults; flags always win.  Unknown keys in the
     file are rejected the same way unknown flags are.
     """
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args, _ = parser.parse_known_args(argv)
     if args.command is None:
         parser.error("a command is required")
     if args.config:
-        sub = next(
-            a for a in parser._subparsers._group_actions[0].choices.items()
-            if a[0] == args.command
-        )[1]
+        sub = commands[args.command]
         try:
             file_values = _read_config_file(args.config)
         except (OSError, ValueError, json.JSONDecodeError) as exc:
@@ -461,16 +489,12 @@ def _run_ptf_check(p: dict, rec: ResultRecord) -> int:
     a1 = witten.discretize_dirac(x_grid)
     bump = witten.PerturbationProfile.lorentzian(float(p["mu"]))
     times = [float(t) for t in p["t"]]
-    tags = [s.strip() for s in str(p["theta_tags"]).split(",") if s.strip()]
-    profiles = {
-        "logistic": witten.ThetaProfile.logistic,
-        "erf": witten.ThetaProfile.erf_profile,
-    }
+    tags = _tag_list(str(p["theta_tags"]))
     lhs_by_tag = {}
     for tag in tags:
-        if tag not in profiles:
+        if tag not in _THETA_PROFILES:
             raise OpIndexError(f"unknown connection profile {tag!r}")
-        sus = witten.build_suspension(a1, bump, profiles[tag](), t_grid, x_grid)
+        sus = witten.build_suspension(a1, bump, _THETA_PROFILES[tag](), t_grid, x_grid)
         spectrum = witten.suspension_spectrum(sus)
         lhs_by_tag[tag] = [witten.ptf_lhs(sus, t, spectrum) for t in times]
     rows = []

@@ -28,6 +28,12 @@ the resonant one does not.  This calibration, fixed once against the
 square-well oracle and recorded in the constants table, also makes the
 free line (t == 1, M_R = 1, delta == 0, N = 0) come out with no special
 casing.
+
+The resonant well depth is found at k = 0 itself, where no amplitude frame
+(no 1/(ik)) enters: a half-bound state is a zero-energy solution bounded at
+both ends, so constant outside the well, and it exists exactly when the
+psi' entry of the zero-energy (psi, psi') slab chain started from
+(psi, psi') = (1, 0) vanishes.  The depth is the simple root of that entry.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
 
 from .constants import (
     FREE_SELF_TEST_TOL,
@@ -59,9 +66,11 @@ from .errors import (
     RangeError,
     UndersamplingError,
 )
-from .witten import GridSpec
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+# slab width of the transfer sweep, and the most k nodes a refined curve holds
+SLAB_STEP = 0.01
+K_NODE_BUDGET = 4000
 
 
 # ---------------------------------------------------------------------------
@@ -74,8 +83,6 @@ class Potential:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_radius: float
-    family: str = "generic"
-    depth: float | None = None
 
     def __post_init__(self):
         if self.support_radius <= 0:
@@ -97,13 +104,12 @@ class Potential:
             x = np.asarray(x, dtype=float)
             return np.where(np.abs(x) < half_width, -depth, 0.0)
 
-        return cls(evaluator=v, support_radius=half_width,
-                   family="square_well", depth=depth)
+        return cls(evaluator=v, support_radius=half_width)
 
     @classmethod
     def free(cls) -> "Potential":
         return cls(evaluator=lambda x: np.zeros_like(np.asarray(x, dtype=float)),
-                   support_radius=1.0, family="free", depth=0.0)
+                   support_radius=1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -150,24 +156,16 @@ def _amplitude_frames(x: float, k: np.ndarray):
     return frame, inv
 
 
-def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.ndarray:
-    """Batched transfer matrices over [-a-1, a+1] for an array of k > 0.
-
-    Relates the plane-wave amplitude pairs on the left to those on the
-    right: (A_right, B_right) = T (A_left, B_left).  det T = 1 up to
-    rounding for every k.  The Wronskian check, |det - 1| within
-    TRANSFER_DET_TOL, is made on the integrated (psi, psi') slab chain,
-    before the amplitude frames are applied.
+def _slab_chain(v: Potential, k2: np.ndarray, step: float) -> np.ndarray:
+    """Batched (psi, psi') propagators over [-a-1, a+1] for energies k^2 >= 0.
 
     The support [-a, a] is cut into slabs of width about ``step`` and V is
     sampled at each slab midpoint.  Each run of equal midpoint values is one
     slab of constant q^2 = k^2 - V, whose exact propagator over the whole
     run equals the product of its per-slab propagators, so a square well is
-    three slabs (free, well, free) at any step.
+    three slabs (free, well, free) at any step.  The Wronskian check,
+    |det - 1| within TRANSFER_DET_TOL, is made on the chain.
     """
-    k = np.asarray(k, dtype=float)
-    if np.any(k <= 0):
-        raise DomainError("wavenumbers must be strictly positive")
     a = v.support_radius
     n_in = max(2, int(round(2.0 * a / step)))
     h_in = 2.0 * a / n_in
@@ -176,7 +174,6 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.nda
     starts = np.concatenate(([0], np.flatnonzero(np.diff(v_mid)) + 1))
     counts = np.diff(starts, append=n_in)
 
-    k2 = k * k
     # outer stretches are free, one exact slab each
     chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
     for vm, count in zip(v_mid[starts], counts):
@@ -184,26 +181,41 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = 0.01) -> np.nda
         chain = np.einsum("kij,kjl->kil", _slab_propagators(q, count * h_in), chain)
     chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
 
-    frame_left, _ = _amplitude_frames(-a - 1.0, k)
-    _, inv_right = _amplitude_frames(a + 1.0, k)
-    t_mats = np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
-
-    # det T would add the rounding of the amplitude frames, whose inverse
-    # carries 1/(ik): 1.1e-8 at k = 1e-3 on a depth-100 well
     drift = np.abs(_det2(chain) - 1.0)
     worst = float(np.max(drift))
     if worst > TRANSFER_DET_TOL:
         at = int(np.argmax(drift))
         raise IntegrationError(
             f"det of the (psi, psi') slab chain drifted by {worst:.2e} at "
-            f"k = {k[at]:.3g}; the sweep does not conserve the Wronskian"
+            f"k = {math.sqrt(k2[at]):.3g}; the sweep does not conserve the "
+            "Wronskian"
         )
-    return t_mats
+    return chain
 
 
-def _free_self_test(k_probe: np.ndarray, step: float):
+def transfer_matrices(v: Potential, k: np.ndarray, step: float = SLAB_STEP) -> np.ndarray:
+    """Batched transfer matrices over [-a-1, a+1] for an array of k > 0.
+
+    Relates the plane-wave amplitude pairs on the left to those on the
+    right: (A_right, B_right) = T (A_left, B_left).  det T = 1 up to
+    rounding for every k.  The Wronskian is checked on the (psi, psi') slab
+    chain before the amplitude frames are applied: det T would add the
+    rounding of the frames, whose inverse carries 1/(ik), 1.1e-8 at
+    k = 1e-3 on a depth-100 well.
+    """
+    k = np.asarray(k, dtype=float)
+    if np.any(k <= 0):
+        raise DomainError("wavenumbers must be strictly positive")
+    chain = _slab_chain(v, k * k, step)
+    a = v.support_radius
+    frame_left, _ = _amplitude_frames(-a - 1.0, k)
+    _, inv_right = _amplitude_frames(a + 1.0, k)
+    return np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
+
+
+def _free_self_test(k_probe: np.ndarray):
     """The stepping scheme must reproduce the identity exactly for V == 0."""
-    t = transfer_matrices(Potential.free(), k_probe, step)
+    t = transfer_matrices(Potential.free(), k_probe)
     drift = float(np.max(np.abs(t - np.eye(2))))
     if drift > FREE_SELF_TEST_TOL:
         raise IntegrationError(
@@ -237,14 +249,9 @@ class ScatteringCurve:
     k_samples: np.ndarray
     s_matrices: np.ndarray = field(repr=False)
     unitarity_residuals: np.ndarray = field(repr=False)
-    potential: Potential
-    step: float
 
     def det(self) -> np.ndarray:
         return _det2(self.s_matrices)
-
-    def transmission(self) -> np.ndarray:
-        return self.s_matrices[:, 0, 0]
 
 
 def _unitarity_residuals(s: np.ndarray) -> np.ndarray:
@@ -256,33 +263,28 @@ def default_k_grid(k_min: float = 1e-3, k_max: float = 40.0, count: int = 240):
     return np.geomspace(k_min, k_max, count)
 
 
-def scattering_matrix(
-    v: Potential,
-    k_grid: np.ndarray | None = None,
-    step: float = 0.01,
-    node_budget: int = 4000,
-) -> ScatteringCurve:
+def scattering_matrix(v: Potential, k_grid: np.ndarray | None = None) -> ScatteringCurve:
     """Scattering matrices along a k grid, densified until arg det is tame.
 
     The grid is refined by inserting geometric midpoints wherever the
     argument of det S jumps by more than pi/4 between neighbours; running
-    past the node budget raises UndersamplingError.
+    past K_NODE_BUDGET nodes raises UndersamplingError.
     """
     k = np.asarray(default_k_grid() if k_grid is None else k_grid, dtype=float)
     if np.any(np.diff(k) <= 0) or np.any(k <= 0):
         raise DomainError("k grid must be positive and ascending")
-    _free_self_test(k[:: max(1, len(k) // 8)], step)
+    _free_self_test(k[:: max(1, len(k) // 8)])
 
     for _ in range(12):
-        s = _s_from_transfer(transfer_matrices(v, k, step))
+        s = _s_from_transfer(transfer_matrices(v, k))
         args = np.angle(_det2(s))
         incr = np.abs((np.diff(args) + np.pi) % (2 * np.pi) - np.pi)
         bad = np.nonzero(incr > np.pi / 4)[0]
         if len(bad) == 0:
             break
-        if len(k) + len(bad) > node_budget:
+        if len(k) + len(bad) > K_NODE_BUDGET:
             raise UndersamplingError(
-                f"k-grid refinement exceeded the {node_budget}-node budget"
+                f"k-grid refinement exceeded the {K_NODE_BUDGET}-node budget"
             )
         k = np.sort(np.concatenate([k, np.sqrt(k[bad] * k[bad + 1])]))
     else:
@@ -294,10 +296,7 @@ def scattering_matrix(
         raise IntegrationError(
             f"unitarity residual {worst:.2e} above {S_UNITARITY_TOL:.1e}"
         )
-    return ScatteringCurve(
-        k_samples=k, s_matrices=s, unitarity_residuals=resid,
-        potential=v, step=step,
-    )
+    return ScatteringCurve(k_samples=k, s_matrices=s, unitarity_residuals=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -348,22 +347,18 @@ def _dirichlet_negative_count(v: Potential, half_width: float, n: int) -> int:
     return count
 
 
-def bound_states(v: Potential, grid: GridSpec | None = None) -> int:
+def bound_states(v: Potential) -> int:
     """Number of strictly negative eigenvalues of -d^2/dx^2 + V.
 
-    The count is recomputed with doubled resolution and with a doubled
-    box; any disagreement raises InconclusiveError rather than guessing.
+    Counted in the Dirichlet box of half-width max(60, 6a) at spacing
+    0.005, then recomputed with doubled resolution and with a doubled box;
+    any disagreement raises InconclusiveError rather than guessing.
     """
-    if grid is None:
-        half = max(60.0, 6.0 * v.support_radius)
-        grid = GridSpec(half_width=half, points=int(2 * half / 0.005))
-    if grid.half_width < 5.0 * v.support_radius:
-        raise DomainError(
-            "grid half-width must be at least five times the support radius"
-        )
-    base = _dirichlet_negative_count(v, grid.half_width, grid.points)
-    finer = _dirichlet_negative_count(v, grid.half_width, 2 * grid.points)
-    wider = _dirichlet_negative_count(v, 2.0 * grid.half_width, 2 * grid.points)
+    half = max(60.0, 6.0 * v.support_radius)
+    n = int(2 * half / 0.005)
+    base = _dirichlet_negative_count(v, half, n)
+    finer = _dirichlet_negative_count(v, half, 2 * n)
+    wider = _dirichlet_negative_count(v, 2.0 * half, 2 * n)
     if not (base == finer == wider):
         raise InconclusiveError(
             f"bound-state count unstable under refinement: "
@@ -407,96 +402,52 @@ def phase_winding(curve: ScatteringCurve) -> float:
     return delta_inf - delta0
 
 
-def _transmission_extrapolation(v: Potential, k_head: np.ndarray, step: float):
-    """Quadratic-in-k extrapolation of |t(k)| to k = 0."""
-    t_mats = transfer_matrices(v, k_head, step)
-    mod_t = np.abs(1.0 / t_mats[:, 1, 1])
-    design = np.vander(k_head, 3)  # columns k^2, k, 1
-    coeffs, *_ = np.linalg.lstsq(design, mod_t, rcond=None)
-    return max(float(coeffs[-1]), 0.0)
-
-
-def resonance_detect(
-    v: Potential,
-    k_head: np.ndarray | None = None,
-    step: float = 0.01,
-):
+def resonance_detect(v: Potential):
     """Zero-energy resonance flag from the transmission threshold behaviour.
 
-    Returns (M_R0, evidence) with evidence the extrapolated |t(0)|.
-    Generic potentials have t(k) -> 0 linearly, a half-bound state keeps
-    |t(0)| > 0.  Evidence inside the guard band [0.02, 0.1) is refused as
-    inconclusive rather than classified.
+    Returns (M_R0, evidence) with evidence |t(0)|, extrapolated quadratically
+    in k from eight samples on k in [1e-3, 1e-2].  Generic potentials have
+    t(k) -> 0 linearly, a half-bound state keeps |t(0)| > 0.  Evidence
+    inside the guard band [0.02, 0.1) is refused as inconclusive rather
+    than classified.
     """
-    if k_head is None:
-        k_head = np.geomspace(0.01, 0.001, 8)
-    k_head = np.asarray(k_head, dtype=float)
-    if np.any(k_head <= 0) or np.any(k_head > 0.1):
-        raise DomainError("k_head samples must lie in (0, 0.1]")
-    evidence = _transmission_extrapolation(v, k_head, step)
+    k = np.geomspace(0.01, 0.001, 8)
+    mod_t = np.abs(1.0 / transfer_matrices(v, k)[:, 1, 1])
+    design = np.vander(k, 3)  # columns k^2, k, 1
+    coeffs, *_ = np.linalg.lstsq(design, mod_t, rcond=None)
+    evidence = max(float(coeffs[-1]), 0.0)
     if evidence >= RESONANCE_THRESHOLD:
         return 1, evidence
     if evidence < RESONANCE_GUARD_LO:
         return 0, evidence
     raise InconclusiveError(
         f"threshold transmission {evidence:.3f} falls in the guard band "
-        f"[{RESONANCE_GUARD_LO}, {RESONANCE_THRESHOLD}); refine k_head or "
-        "perturb the well depth",
+        f"[{RESONANCE_GUARD_LO}, {RESONANCE_THRESHOLD}); perturb the well depth",
         detail=evidence,
     )
 
 
-def find_resonant_depth(
-    half_width: float = 1.0,
-    lo: float = 2.0,
-    hi: float = 3.0,
-    tol: float = 1e-9,
-) -> float:
-    """Well depth with a zero-energy resonance, located by transmission scan.
+def find_resonant_depth(half_width: float = 1.0) -> float:
+    """Depth of the first zero-energy resonance of a square well.
 
-    Maximises |t(k)| over the depth bracket by golden section at a fixed
-    small k, then again at successively smaller k with a tightened bracket:
-    the peak of |t(k)| in depth sits k^2 below the zero-energy resonance,
-    so the last stage is corrected by that offset.  The returned depth has
-    extrapolated |t(0)| within rounding of 1.
+    The root of the psi' entry, chain[1, 0], of the zero-energy (psi, psi')
+    slab chain, found by Brent's method to rounding.  For the well of depth
+    D and half-width a that entry is -sqrt(D) sin(2 a sqrt(D)), since the
+    free end propagators [[1, 1], [0, 1]] leave it alone, so the bracket
+    ((pi / 4a)^2, (3 pi / 4a)^2) holds one sign change, at the first
+    resonance (pi / 2a)^2.
     """
-    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    if half_width <= 0:
+        raise DomainError("support radius must be positive")
+    zero_energy = np.zeros(1)
 
-    def argmax_at(k: float, a: float, b: float) -> float:
-        karr = np.array([k])
+    def entry(depth: float) -> float:
+        well = Potential.square_well(depth, half_width)
+        return float(_slab_chain(well, zero_energy, SLAB_STEP)[0, 1, 0].real)
 
-        def mod_t(depth: float) -> float:
-            well = Potential.square_well(depth, half_width)
-            t_mat = transfer_matrices(well, karr, 0.01)
-            return float(np.abs(1.0 / t_mat[0, 1, 1]))
-
-        c = b - golden * (b - a)
-        d = a + golden * (b - a)
-        fc, fd = mod_t(c), mod_t(d)
-        while abs(b - a) > tol:
-            if fc > fd:
-                b, d, fd = d, c, fc
-                c = b - golden * (b - a)
-                fc = mod_t(c)
-            else:
-                a, c, fc = c, d, fd
-                d = a + golden * (b - a)
-                fd = mod_t(d)
-        return 0.5 * (a + b)
-
-    # |t(k)| peaks in depth exactly k^2 below the zero-energy resonance, so
-    # each stage re-centres the bracket on its running estimate of the
-    # resonant depth and shrinks with the peak width (about 4 k in depth).
-    k_stage = 0.05
-    estimate = argmax_at(k_stage, lo, hi) + k_stage * k_stage
-    for k_stage in (0.01, 0.002, 0.0005):
-        half = max(4.0 * k_stage, 1e3 * tol)
-        peak = argmax_at(
-            k_stage, estimate - k_stage * k_stage - half,
-            estimate - k_stage * k_stage + half,
-        )
-        estimate = peak + k_stage * k_stage
-    return estimate
+    quarter = math.pi / (4.0 * half_width)
+    return brentq(entry, quarter ** 2, (3.0 * quarter) ** 2,
+                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -523,11 +474,7 @@ class LevinsonReport:
     curve: ScatteringCurve = field(repr=False)
 
 
-def levinson_check(
-    v: Potential,
-    curve: ScatteringCurve | None = None,
-    grid: GridSpec | None = None,
-) -> LevinsonReport:
+def levinson_check(v: Potential, curve: ScatteringCurve | None = None) -> LevinsonReport:
     """Assemble the three independent quantities and their residual.
 
     N comes from the Dirichlet eigenvalue count, the winding from the
@@ -536,9 +483,9 @@ def levinson_check(
     """
     if curve is None:
         curve = scattering_matrix(v)
-    n = bound_states(v, grid)
+    n = bound_states(v)
     winding = phase_winding(curve)
-    flag, evidence = resonance_detect(v, step=curve.step)
+    flag, evidence = resonance_detect(v)
     predicted = LEVINSON_SIGN * winding / (2.0 * np.pi) + 0.5 * (1 - flag)
     residual = abs(n - predicted)
     return LevinsonReport(
@@ -559,11 +506,13 @@ def levinson_check(
 
 @dataclass(frozen=True)
 class LambdaCurve:
-    """S reparametrised by lambda = ln(energy) on a uniform grid.
+    """S reparametrised by lambda = ln(energy) at the sampled energies.
 
-    Matrices are stored in the parity frame (Hadamard rotation of the
-    transmission/reflection frame), where the threshold limit of a
-    symmetric well is literally +-diag(1, -1) in the generic case.
+    ``lam`` is 2 ln k of the curve's samples, so it is uniform on a
+    geometric k grid apart from refinement midpoints.  Matrices are stored
+    in the parity frame (Hadamard rotation of the transmission/reflection
+    frame), where the threshold limit of a symmetric well is literally
+    +-diag(1, -1) in the generic case.
     ``s_minus_inf`` is the polar-unitarised extrapolated threshold limit.
     """
 
@@ -571,8 +520,6 @@ class LambdaCurve:
     s_matrices: np.ndarray = field(repr=False)
     s_minus_inf: np.ndarray
     s_plus_inf: np.ndarray
-    unitarisation_distance: float
-    frame: str = "parity"
 
 
 def _polar_unitary(m: np.ndarray) -> np.ndarray:
@@ -580,8 +527,8 @@ def _polar_unitary(m: np.ndarray) -> np.ndarray:
     return u @ vh
 
 
-def exp_resample(curve: ScatteringCurve, points: int = 600) -> LambdaCurve:
-    """Reparametrise a scattering curve by lambda = ln(k^2).
+def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
+    """Reparametrise a scattering curve by lambda = ln(k^2) at its samples.
 
     The curve must cover energies [1e-3, 1e3]; the negative-lambda end is
     the zero-energy limit and the positive end must be close to the
@@ -594,13 +541,6 @@ def exp_resample(curve: ScatteringCurve, points: int = 600) -> LambdaCurve:
             "coverage [1e-3, 1e3]"
         )
     s_par = np.einsum("ij,kjl,lm->kim", _HADAMARD, curve.s_matrices, _HADAMARD)
-    lam_samples = 2.0 * np.log(k)
-    lam = np.linspace(lam_samples[0], lam_samples[-1], points)
-    resampled = np.empty((points, 2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            resampled[:, i, j] = np.interp(lam, lam_samples, s_par[:, i, j].real) \
-                + 1j * np.interp(lam, lam_samples, s_par[:, i, j].imag)
 
     # threshold limit: linear-in-k extrapolation from the curve head
     head = min(8, max(3, len(k) // 20))
@@ -608,21 +548,18 @@ def exp_resample(curve: ScatteringCurve, points: int = 600) -> LambdaCurve:
     for i in range(2):
         for j in range(2):
             limit[i, j] = np.polyval(np.polyfit(k[:head], s_par[:head, i, j], 1), 0.0)
-    unitary_limit = _polar_unitary(limit)
-    distance = float(np.max(np.abs(unitary_limit - limit)))
 
-    s_plus = resampled[-1]
+    s_plus = s_par[-1]
     if float(np.max(np.abs(s_plus - np.eye(2)))) > 0.05:
         raise RangeError(
             "high-energy end of the curve is not close to the identity; "
             "extend the k grid"
         )
     return LambdaCurve(
-        lam=lam,
-        s_matrices=resampled,
-        s_minus_inf=unitary_limit,
+        lam=2.0 * np.log(k),
+        s_matrices=s_par,
+        s_minus_inf=_polar_unitary(limit),
         s_plus_inf=s_plus,
-        unitarisation_distance=distance,
     )
 
 
@@ -648,8 +585,6 @@ class SigmaFactor:
     """
 
     branch: str
-    theta_angle: float | None
-    conjugator: np.ndarray | None
     evaluator: Callable[[float | np.ndarray], np.ndarray]
     profile: Callable[[float | np.ndarray], np.ndarray]
     target_limit: np.ndarray
@@ -677,8 +612,6 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
     if float(np.max(np.abs(u - np.eye(2)))) <= 1e-6:
         return SigmaFactor(
             branch="trivial",
-            theta_angle=None,
-            conjugator=None,
             evaluator=_eye_stack,
             profile=lambda lam: np.zeros(np.shape(lam) + (2, 2)),
             target_limit=np.eye(2, dtype=complex),
@@ -707,8 +640,6 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
 
         return SigmaFactor(
             branch="antidiagonal-limit",
-            theta_angle=None,
-            conjugator=None,
             evaluator=evaluator,
             profile=profile,
             target_limit=target,
@@ -735,8 +666,6 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
 
         sigma = SigmaFactor(
             branch="general-unitary",
-            theta_angle=theta,
-            conjugator=vectors,
             evaluator=evaluator,
             profile=profile,
             target_limit=u.copy(),

@@ -42,11 +42,17 @@ def test_tracer_finds_every_wrapped_name():
     tracer.install()
     try:
         _, code = opindex.cli.run(parse_config(["compose-check", "--points", "256"]))
+        _, scan_code = opindex.cli.run(parse_config(["scan", "--depths", "0.5"]))
     finally:
         tracer.uninstall()
-    assert code == 0
+    assert code == scan_code == 0
     assert tracer.stats["witten.discretize_dirac.calls"] >= 1
     assert tracer.stats["witten.check_composition.calls"] == 1
+    for name in ("transfer_matrices", "scattering_matrix", "find_resonant_depth",
+                 "bound_states", "levinson_check", "exp_resample", "corrected_index"):
+        assert tracer.stats[f"scattering.{name}.calls"] >= 1, name
+    # written by the hook that binds scattering_matrix's and the sweep's v
+    assert "scattering.scattering_matrix.refine_rounds" in tracer.stats
 
 
 class TestParsing:
@@ -99,6 +105,20 @@ class TestParsing:
         with pytest.raises(SystemExit) as excinfo:
             parse_config(["--config", str(path), "witten-estimate"])
         assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("line", ["t = ,", "theta-tags = foo",
+                                      "theta-tags = erf,erf"])
+    def test_bad_list_in_config_file_exits_2(self, tmp_path, line):
+        path = tmp_path / "run.cfg"
+        path.write_text(line + "\n")
+        with pytest.raises(SystemExit) as excinfo:
+            parse_config(["--config", str(path), "ptf-check"])
+        assert excinfo.value.code == 2
+
+    def test_theta_tags_echoed_as_given(self):
+        params = parse_config(["ptf-check", "--theta-tags", "erf, logistic"]).params
+        assert params["theta_tags"] == "erf, logistic"
+        assert parse_config(["ptf-check"]).params["theta_tags"] == "logistic,erf"
 
 
 def test_every_flag_changes_params():
@@ -285,6 +305,27 @@ class TestExitCodes:
     def test_main_usage_error(self):
         assert main(["no-such-command"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["ptf-check", "--t", ","],
+        ["ptf-check", "--theta-tags", ","],
+        ["ptf-check", "--theta-tags", "foo"],
+        ["ptf-check", "--theta-tags", "logistic,logistic"],
+        ["scan", "--depths", ","],
+    ], ids=["empty-times", "empty-tags", "unknown-tag", "repeated-tag", "empty-depths"])
+    def test_bad_comma_list_exits_2(self, monkeypatch, argv):
+        # refused while parsing, before any command runs
+        def runs(*args):
+            raise AssertionError("a command ran on a bad comma list")
+
+        monkeypatch.setattr(opindex.cli, "run", runs)
+        assert main(argv) == 2
+
+    def test_scan_zero_width_exits_2(self):
+        # the resonance bracket (pi / 4a)^2 would divide by the width
+        record, code = run(parse_config(["scan", "--well-width", "0"]))
+        assert code == 2
+        assert record.results["error"] == "support radius must be positive"
+
 
 class TestCommandResults:
     def test_sigma_index_general_branch(self):
@@ -362,6 +403,14 @@ class TestCommandResults:
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
         assert "zhetrd" not in reductions
         assert ("dsytrd" in reductions) == (command == "compose-check")
+
+    def test_scan_finds_first_resonance_of_wide_well(self):
+        # the resonance of a well of half-width 1.5 is at (pi / 3)^2, below
+        # the depths [2, 3] that a fixed search bracket would cover
+        record, code = run(parse_config(["scan", "--well-width", "1.5", "--depths", "0.5"]))
+        assert code == 0
+        assert record.results["resonant_depth"] == pytest.approx((np.pi / 3.0) ** 2, rel=1e-13)
+        assert record.curves["scan"]["rows"][-1][3] == 1  # resonance_flag
 
     def test_scan_single_depth(self):
         record, code = run(parse_config(["scan", "--depths", "2"]))

@@ -27,7 +27,6 @@ from opindex.scattering import (
     transfer_matrices,
     witten_index_sigma,
 )
-from opindex.witten import GridSpec
 
 from oracles import (
     dirichlet_negative_count_full,
@@ -101,6 +100,19 @@ class TestTransferMatrix:
     def test_rejects_nonpositive_k(self):
         with pytest.raises(DomainError):
             transfer_matrices(WELL, np.array([0.0]))
+
+    @pytest.mark.parametrize("depth, half_width", [(2.0, 1.0), (9.0, 0.7), (0.3, 3.0)])
+    def test_zero_energy_chain_closed_form(self, depth, half_width):
+        # at k = 0 a free stretch of length 1 propagates (psi, psi') by
+        # [[1, 1], [0, 1]], and the well by its q = sqrt(depth) propagator
+        q = np.sqrt(depth)
+        qh = 2.0 * half_width * q
+        free = np.array([[1.0, 1.0], [0.0, 1.0]])
+        well = np.array([[np.cos(qh), np.sin(qh) / q], [-q * np.sin(qh), np.cos(qh)]])
+        chain = scattering._slab_chain(
+            Potential.square_well(depth, half_width), np.zeros(1), 0.01
+        )[0]
+        assert np.max(np.abs(chain - free @ well @ free)) <= 1e-13
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -263,7 +275,7 @@ class TestScatteringCurve:
 
     def test_transmission_matches_textbook(self):
         curve = scattering_matrix(WELL, default_k_grid(1e-2, 20.0, 96))
-        ours = np.abs(curve.transmission()) ** 2
+        ours = np.abs(curve.s_matrices[:, 0, 0]) ** 2
         oracle = square_well_transmission_sq(2.0, 1.0, curve.k_samples)
         assert np.max(np.abs(ours - oracle)) <= 1e-6
 
@@ -299,10 +311,6 @@ class TestBoundStates:
         counts = [bound_states(Potential.square_well(d, 1.0))
                   for d in (0.5, 2.0, 5.0, 10.0, 25.0)]
         assert counts == sorted(counts)
-
-    def test_narrow_grid_rejected(self):
-        with pytest.raises(DomainError):
-            bound_states(WELL, GridSpec(4.0, 64))
 
 
 class TestPhaseWinding:
@@ -358,12 +366,21 @@ class TestResonanceDetection:
                 hi = mid
         assert flagged
 
-    def test_head_outside_range_rejected(self):
-        with pytest.raises(DomainError):
-            resonance_detect(WELL, k_head=np.array([0.5, 0.2]))
-
     def test_resonant_depth_location(self, resonant_depth):
         assert resonant_depth == pytest.approx((np.pi / 2.0) ** 2, abs=1e-6)
+
+    @pytest.mark.parametrize("half_width", [0.5, 0.7, 1.0, 1.5, 3.0])
+    def test_resonant_depth_is_first_resonance(self, half_width):
+        # a half-bound state of the square well needs 2 a sqrt(D) = pi
+        depth = find_resonant_depth(half_width)
+        assert depth == pytest.approx((np.pi / (2.0 * half_width)) ** 2, rel=1e-13)
+
+    def test_resonant_depth_needs_no_amplitude_frame(self, monkeypatch):
+        def no_transfer(*args, **kwargs):
+            raise AssertionError("find_resonant_depth ran a transfer sweep")
+
+        monkeypatch.setattr(scattering, "transfer_matrices", no_transfer)
+        assert find_resonant_depth() == pytest.approx((np.pi / 2.0) ** 2, rel=1e-13)
 
 
 class TestLevinson:
@@ -402,8 +419,14 @@ class TestExpResample:
         assert np.max(np.abs(lcurve.s_minus_inf - np.eye(2))) <= 1e-10
 
     def test_uniform_lambda_spacing(self, scan_curves):
-        lcurve = exp_resample(scan_curves[2.0])
-        assert np.allclose(np.diff(lcurve.lam), np.diff(lcurve.lam)[0])
+        # lambda is 2 ln k at the samples themselves, so uniform on the
+        # geometric grid, and S is the parity rotation of the sampled matrices
+        curve = scan_curves[2.0]
+        lcurve = exp_resample(curve)
+        rotated = np.einsum("ij,kjl,lm->kim", scattering._HADAMARD,
+                            curve.s_matrices, scattering._HADAMARD)
+        assert np.array_equal(lcurve.lam, 2.0 * np.log(curve.k_samples))
+        assert np.array_equal(lcurve.s_matrices, rotated)
 
     def test_generic_threshold_limit_is_parity_diagonal(self, scan_curves):
         for depth in (0.5, 2.0, 25.0):
@@ -449,7 +472,8 @@ class TestSigmaFactor:
         limit = np.diag([np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)])
         sigma = build_sigma(limit)
         assert sigma.branch == "general-unitary"
-        assert sigma.theta_angle == pytest.approx(np.pi / 3)
+        phases = np.sort(np.angle(np.linalg.eigvals(sigma.evaluator(-1e9))))
+        assert phases == pytest.approx([-np.pi / 3, np.pi / 3])
         assert np.max(np.abs(sigma.evaluator(-1e9) - limit)) <= 1e-6
         assert witten_index_sigma(sigma) == pytest.approx(0.0, abs=1e-6)
 
@@ -466,7 +490,8 @@ class TestSigmaFactor:
     def test_minus_identity_limit(self):
         sigma = build_sigma(-np.eye(2, dtype=complex))
         assert sigma.branch == "general-unitary"
-        assert sigma.theta_angle == pytest.approx(np.pi)
+        phases = np.sort(np.angle(np.linalg.eigvals(sigma.evaluator(-1e9))))
+        assert phases == pytest.approx([-np.pi, np.pi])
         assert witten_index_sigma(sigma) == pytest.approx(0.0, abs=1e-6)
 
     def test_derivative_consistency(self):
