@@ -391,9 +391,13 @@ def parse_config(argv: list[str]) -> RunConfig:
             if dest not in actions:
                 parser.error(f"unknown config key {key!r} for {args.command}")
             action = actions[dest]
-            if isinstance(value, str) and action.type is not None:
+            if action.type is not None:
+                # JSON numbers and lists go through the flag's own type
+                # function, a list as the comma list the flag would take
+                if isinstance(value, list):
+                    value = ",".join(str(item) for item in value)
                 try:
-                    value = action.type(value)
+                    value = action.type(str(value))
                 except (TypeError, ValueError, argparse.ArgumentTypeError) as exc:
                     parser.error(f"bad value for config key {key!r}: {exc}")
             if action.choices is not None and value not in action.choices:

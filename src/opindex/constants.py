@@ -36,6 +36,12 @@ WITTEN_SIGN = +1
 PLATEAU_DIFF_TOL = 5e-3          # consecutive plateau samples may differ by this
 PLATEAU_MIN_SAMPLES = 5          # a plateau window must contain at least this many
 THETA_TAIL_TOL = 1e-6            # connection profile must be this close to 0/1 at ends
+# The suspension spectrum uses time reversal, which needs the theta samples
+# reflection-even on the time circle: |theta_j - theta_{(-j) mod n}| at most
+# this (theta runs from 0 to 1).  The logistic and erf profiles read at most
+# 3.0e-15 on 16 to 96 points and half widths 10 to 30; a logistic shifted by
+# 0.01 reads 1.0e-2.
+THETA_REFLECTION_TOL = 1e-12
 T_CEILING_FACTOR = 0.25          # max usable t = factor * (L/pi)^2 on an L-grid
 DECAY_CERT_MAX = 1e3             # sup |phi(x)| (1+x^2) beyond this means no decay
 CLOSED_FORM_ABS_TOL = 1e-8       # absolute error budget for the closed-form integral

@@ -17,7 +17,7 @@ class ShapeError(OpIndexError):
 
 
 class EigensolverError(OpIndexError):
-    """The dense eigen/SVD solver did not converge."""
+    """The dense eigensolver did not converge."""
 
     def __init__(self, message, iterations=None):
         super().__init__(message)

@@ -48,9 +48,22 @@ reproduces the line-model value; the fall half carries the compensating
 contribution.  This is the same finite-truncation obstruction that forces
 the defect-trace form of the shift-lattice index formula.
 
-Both heat generators come from one SVD D = U S V^H, as D D^H = U S^2 U^H
-and D^H D = V S^2 V^H; forming either Gram product would square the
-condition number of D.
+Both heat generators come from one Hermitian eigensolve, by time reversal.
+Let P reflect the time circle, j -> (-j) mod n_t, and leave the x plane
+waves alone.  Then D^H = P conj(D) P exactly: conj(P d_t P) = -d_t (the
+Nyquist mode included), A_1 is real diagonal, the bump form is real (K
+symmetry, above), and theta_j = theta_{-j} since theta(-s) = 1 - theta(s).
+So D D^H = P conj(D^H D) P: with D^H D = V diag(lambda) V^H the left
+singular vectors are P conj(V), and
+
+    tr_W(exp(-t D^H D) - exp(-t D D^H))
+        = sum_j exp(-t lambda_j) sum_i (1_W - 1_{P(W)})_i |V_ij|^2.
+
+Only lambda = s^2 enters the heat weights, and ``evr`` returns it to about
+eps ||D||^2 absolute, as an SVD would; forming the Gram matrix squares the
+condition number of the singular values, not of the weights.  Inputs
+without the symmetry (a theta profile that is not reflection-even, a bump
+that is not K-symmetric) are refused.
 """
 
 from __future__ import annotations
@@ -63,6 +76,7 @@ from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
 from scipy.fft import fft, ifft
 from scipy.integrate import quad
+from scipy.linalg.blas import zherk
 from scipy.special import erf as _erf
 
 from .constants import (
@@ -75,11 +89,12 @@ from .constants import (
     PLATEAU_DIFF_TOL,
     PLATEAU_MIN_SAMPLES,
     T_CEILING_FACTOR,
+    THETA_REFLECTION_TOL,
     THETA_TAIL_TOL,
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
-from .linalg import herm_eig, herm_eigvals, svd
+from .linalg import herm_eig, herm_eigvals
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +482,7 @@ class SuspensionOperator:
     """Dense realisation of d/dt + A_1 + theta(t) B on a (t, x) product grid.
 
     The matrix is held in the basis I_t (x) F of t-sites times x-plane-waves;
-    the change is unitary and keeps the t-rows, so singular values and window
+    the change is unitary and keeps the t-rows, so the Gram spectrum and window
     masses are those of the grid-space matrix.  ``theta_samples`` are the
     values actually placed on the time circle (rise centred at -L_t/2,
     mirrored fall at +L_t/2) and ``window_mask`` marks the rows of the rise
@@ -482,6 +497,11 @@ class SuspensionOperator:
     window_mask: np.ndarray = field(repr=False)
 
 
+def _reflection(n: int) -> np.ndarray:
+    """Indices of the time reflection P on an n-point circle: j -> (-j) mod n."""
+    return -np.arange(n)
+
+
 def build_suspension(
     a1: LatticeOperator,
     b: PerturbationProfile,
@@ -494,14 +514,18 @@ def build_suspension(
     The connection profile must be within THETA_TAIL_TOL of 0 and 1 a
     half-width away from the transition centre; the rise and its
     mirrored fall are placed half a period apart so the operator is smooth
-    across the periodic seam.
+    across the periodic seam.  The spectrum needs D^H = P conj(D) P (see the
+    module docstring), so theta samples that are not reflection-even to
+    THETA_REFLECTION_TOL, and a bump whose plane-wave form is not real, are
+    refused with DomainError before D is allocated.
     """
     if a1.grid != x_grid:
         raise DomainError("base operator grid does not match the x grid")
     n_x = x_grid.points * b.dim
-    # the SVD holds the most at once: D, LAPACK's working copy of it, U, V^H
-    # and the gesdd workspace, measured at 6.5 dense copies on 48 x 48
-    _require_dense_budget(t_grid.points * n_x, 7, "the suspension and its SVD")
+    # the spectrum holds the most at once: D, its Gram matrix (solved in
+    # place) and the eigenvectors; the peak ru_maxrss of a fresh process at
+    # 48 x 48 was 3.1 dense copies, D included
+    _require_dense_budget(t_grid.points * n_x, 4, "the suspension and its spectrum")
     half = t_grid.half_width
     ends = np.asarray(theta.evaluator(np.array([-half, half])), dtype=float)
     if abs(ends[0]) > THETA_TAIL_TOL or abs(1.0 - ends[1]) > THETA_TAIL_TOL:
@@ -513,7 +537,18 @@ def build_suspension(
     theta_samples = np.asarray(
         theta.evaluator(t + half / 2.0) - theta.evaluator(t - half / 2.0), dtype=float
     )
+    odd = np.max(np.abs(theta_samples - theta_samples[_reflection(t_grid.points)]))
+    if odd > THETA_REFLECTION_TOL:
+        raise DomainError(
+            f"profile '{theta.tag}' breaks time reversal: theta(t) - theta(-t) "
+            f"reaches {odd:.2e} on the time circle, so theta(-s) = 1 - theta(s) fails"
+        )
     bump = _bump_form(_site_values(b, x_grid))
+    if np.iscomplexobj(bump):
+        raise DomainError(
+            "bump breaks time reversal: its plane-wave form is not real, so "
+            "Phi(-x) = conj Phi(x) (K symmetry) fails"
+        )
     # d_t (x) I + I (x) A_1 + diag(theta) (x) B, assembled in place
     mat = np.kron(spectral_time_derivative(t_grid), np.eye(n_x))
     mat.flat[:: len(mat) + 1] += np.tile(a1.frequencies(b.dim), t_grid.points)
@@ -533,23 +568,32 @@ def build_suspension(
 
 @dataclass(frozen=True)
 class SuspensionSpectrum:
-    """s^2 of D = U diag(s) V^H, the spectrum of both D D^H = U s^2 U^H and
-    D^H D = V s^2 V^H, with the window row masses of the columns of U and V."""
+    """Eigenvalues lambda of D^H D = V diag(lambda) V^H and, for each column
+    of V, its mass over the rise window W less its mass over P(W); the
+    latter is the window mass of the matching eigenvector P conj(V) of
+    D D^H."""
 
     values: np.ndarray
-    left_window_mass: np.ndarray
-    right_window_mass: np.ndarray
+    window_mass: np.ndarray
 
 
 def suspension_spectrum(d: SuspensionOperator) -> SuspensionSpectrum:
-    """One SVD of D serves both heat generators; everything per-t is cheap after."""
-    u, s, vh = svd(d.matrix)
-    mask = d.window_mask
-    return SuspensionSpectrum(
-        values=s * s,
-        left_window_mass=np.sum(np.abs(u[mask, :]) ** 2, axis=0),
-        right_window_mass=np.sum(np.abs(vh[:, mask]) ** 2, axis=1),
-    )
+    """One Hermitian eigensolve serves both heat generators.
+
+    The Gram matrix is formed by ``zherk`` in scipy's BLAS, so the product
+    and the solve share one thread pool.  Given D^T, a Fortran view of D, it
+    writes the lower triangle of D^T conj(D) = conj(D^H D), whose eigenvalues
+    and squared moduli |V_ij|^2 are those of D^H D; the solve overwrites it.
+    """
+    n_t = d.t_grid.points
+    window = d.window_mask.reshape(n_t, -1)
+    delta = (window.astype(float) - window[_reflection(n_t)]).ravel()
+    values, vectors = herm_eig(zherk(1.0, d.matrix.T, lower=1), overwrite=True)
+    # sum_i delta_i |V_ij|^2 in numpy's own loop, without forming |V|^2:
+    # rows of V^T, a C-ordered view, read as (re, im) pairs
+    pairs = vectors.T.view(float).reshape(len(values), -1, 2)
+    mass = np.einsum("i,jik,jik->j", delta, pairs, pairs)
+    return SuspensionSpectrum(values=values, window_mass=mass)
 
 
 def ptf_lhs(
@@ -567,8 +611,7 @@ def ptf_lhs(
     if t <= 0:
         raise DomainError(f"heat time must be positive, got {t}")
     sp = spectrum if spectrum is not None else suspension_spectrum(d)
-    mass = sp.right_window_mass - sp.left_window_mass
-    return WITTEN_SIGN * float(np.sum(np.exp(-t * sp.values) * mass))
+    return WITTEN_SIGN * float(np.sum(np.exp(-t * sp.values) * sp.window_mass))
 
 
 # ---------------------------------------------------------------------------

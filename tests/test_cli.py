@@ -115,6 +115,36 @@ class TestParsing:
             parse_config(["--config", str(path), "ptf-check"])
         assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("command, values", [
+        ("ptf-check", {"t": []}),
+        ("scan", {"depths": []}),
+        ("ptf-check", {"theta_tags": []}),
+        ("ptf-check", {"t": [0.5, "x"]}),
+    ], ids=["empty-times", "empty-depths", "empty-tags", "bad-time"])
+    def test_bad_json_list_exits_2(self, tmp_path, monkeypatch, command, values):
+        # JSON lists go through the flags' comma-list checks, before any run
+        def runs(*args):
+            raise AssertionError("a command ran on a bad config list")
+
+        monkeypatch.setattr(opindex.cli, "run", runs)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(values))
+        assert main(["--config", str(path), command]) == 2
+
+    def test_json_list_runs_like_flag(self, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"theta_tags": ["erf"], "t": [0.5, 1]}))
+        grid = ["--nt", "24", "--nx", "24", "--t-half-width", "10",
+                "--x-half-width", "8"]
+        from_file = parse_config(["--config", str(path), "ptf-check", *grid])
+        from_flags = parse_config(
+            ["ptf-check", "--theta-tags", "erf", "--t", "0.5,1", *grid]
+        )
+        assert from_file.params == from_flags.params
+        (first, code), (second, flag_code) = run(from_file), run(from_flags)
+        assert code == flag_code == 0
+        assert first.payload_json() == second.payload_json()
+
     def test_theta_tags_echoed_as_given(self):
         params = parse_config(["ptf-check", "--theta-tags", "erf, logistic"]).params
         assert params["theta_tags"] == "erf, logistic"
@@ -276,7 +306,8 @@ class TestExitCodes:
         assert "not within 1e-3 of 0 or 1/2" in record.results["error"]
 
     @pytest.mark.parametrize("argv, first_allocation", [
-        # 160000 suspension rows: 7 dense copies of 410 GB each
+        # 160000 suspension rows: 4 dense copies (D, its Gram matrix and
+        # the eigenvectors) of 410 GB each
         (["ptf-check", "--nt", "400", "--nx", "400"], "spectral_time_derivative"),
         # a 65536-point plane-wave form alone is a 69 GB dense matrix
         (["compose-check", "--points", "65536"], "_circulant"),
@@ -292,6 +323,31 @@ class TestExitCodes:
         assert code == 2
         assert record.results["error_kind"] == "usage"
         assert "budget" in record.results["error"]
+
+    @pytest.mark.parametrize("patch, symmetry", [
+        ("theta", "theta(-s) = 1 - theta(s)"),
+        ("bump", "Phi(-x) = conj Phi(x)"),
+    ], ids=["shifted-theta", "k-odd-bump"])
+    def test_time_reversal_breaking_input_exits_2(self, monkeypatch, patch, symmetry):
+        # the CLI builds only logistic/erf profiles and Lorentzian bumps, so
+        # the builders are swapped for a shifted logistic and an odd bump
+        if patch == "theta":
+            shifted = witten.ThetaProfile(
+                evaluator=lambda t: 0.5 * (1.0 + np.tanh(t - 0.5)), tag="shifted"
+            )
+            monkeypatch.setitem(opindex.cli._THETA_PROFILES, "logistic", lambda: shifted)
+        else:
+            odd = witten.PerturbationProfile(evaluator=lambda x: x / (1.0 + x * x) ** 2)
+            monkeypatch.setattr(witten.PerturbationProfile, "lorentzian",
+                                classmethod(lambda cls, mu: odd))
+        record, code = run(parse_config(
+            ["ptf-check", "--nt", "24", "--nx", "24", "--t-half-width", "10",
+             "--x-half-width", "8", "--theta-tags", "logistic"]
+        ))
+        assert code == 2
+        assert record.results["error_kind"] == "usage"
+        assert "time reversal" in record.results["error"]
+        assert symmetry in record.results["error"]
 
     def test_main_writes_file(self, tmp_path, capsys):
         out = tmp_path / "record.json"

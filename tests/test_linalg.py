@@ -1,4 +1,4 @@
-"""Dense kernel tests: eigendecomposition, singular values, the heat-flow oracle."""
+"""Dense kernel tests: eigendecomposition and the heat-flow oracle."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from opindex import witten
 from opindex.errors import DomainError, ShapeError
-from opindex.linalg import EigenSystem, as_square_matrix, herm_eig, herm_eigvals, svd
+from opindex.linalg import EigenSystem, as_square_matrix, herm_eig, herm_eigvals
 
 from oracles import dirac_matrix, heat_operator, multiplication_matrix, pade_expm
 
@@ -62,6 +62,16 @@ class TestHermEig:
         es = herm_eig(random_hermitian(32, seed=3))
         gram = es.vectors.conj().T @ es.vectors
         assert np.max(np.abs(gram - np.eye(32))) <= 1e-10
+
+    def test_overwrite_reads_lower_triangle_in_place(self):
+        # the suspension hands its Gram matrix over as a Fortran array with
+        # only the lower triangle written, and lets the solve consume it
+        m = random_hermitian(30, seed=5)
+        lower = np.asfortranarray(np.tril(m))
+        es = herm_eig(lower, overwrite=True)
+        assert not np.array_equal(lower, np.tril(m))
+        recon = es.vectors @ (es.values[:, None] * es.vectors.conj().T)
+        assert np.max(np.abs(m - recon)) <= 1e-12 * np.max(np.abs(m))
 
     def test_eigvals_match_eig(self):
         m = random_hermitian(40, seed=11)
@@ -197,39 +207,6 @@ class TestTrace:
         a = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         b = rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))
         assert abs(np.trace(a @ b - b @ a)) <= 1e-10 * np.max(np.abs(a @ b))
-
-
-class TestSingularValues:
-    def test_identity(self):
-        assert np.allclose(svd(np.eye(5))[1], np.ones(5))
-
-    def test_rank_one(self):
-        rng = np.random.default_rng(2)
-        u = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        v = rng.standard_normal(6) + 1j * rng.standard_normal(6)
-        s = svd(np.outer(u, v.conj()))[1]
-        assert s[0] == pytest.approx(np.linalg.norm(u) * np.linalg.norm(v))
-        assert np.all(s[1:] <= 1e-12 * s[0])
-
-    def test_matches_hermitian_eig_oracle(self):
-        rng = np.random.default_rng(13)
-        m = rng.standard_normal((20, 20)) + 1j * rng.standard_normal((20, 20))
-        ours = svd(m)[1]
-        oracle = np.sqrt(np.maximum(herm_eig(m.conj().T @ m).values[::-1], 0.0))
-        assert np.max(np.abs(ours - oracle)) <= 1e-9 * ours[0]
-
-    def test_descending(self):
-        s = svd(random_hermitian(15, seed=1))[1]
-        assert np.all(np.diff(s) <= 1e-12)
-
-    def test_factors_reconstruct(self):
-        rng = np.random.default_rng(17)
-        m = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
-        u, s, vh = svd(m)
-        assert np.max(np.abs((u * s) @ vh - m)) <= 1e-12 * s[0]
-        for q in (u, vh):
-            assert np.max(np.abs(q.conj().T @ q - np.eye(12))) <= 1e-12
-        assert np.max(np.abs(s - scipy.linalg.svdvals(m))) <= 1e-12 * s[0]
 
 
 def test_eigen_system_named_fields():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from opindex import witten
 from opindex.constants import WITTEN_SIGN
@@ -321,6 +322,15 @@ class TestClosedForm:
 
 SUSPENSION_X_GRID = GridSpec(8.0, 24)
 SUSPENSION_T_GRID = GridSpec(10.0, 24)
+# a non-square grid: with n_t == n_x a reflection taken over the wrong
+# factor of the (t-site x x-plane-wave) index would go unseen
+NARROW_X_GRID = GridSpec(6.0, 16)
+THETA_PROFILES = (ThetaProfile.logistic(), ThetaProfile.erf_profile())
+# theta(-s) = 1 - theta(s) fails: the samples are not reflection-even
+SHIFTED_LOGISTIC = ThetaProfile(evaluator=lambda t: 0.5 * (1.0 + np.tanh(t - 0.5)),
+                                tag="shifted")
+# real and odd, so Phi(-x) = -conj Phi(x): the plane-wave form is imaginary
+K_ODD_BUMP = PerturbationProfile(evaluator=lambda x: x / (1.0 + x * x) ** 2)
 
 
 @pytest.fixture(scope="module")
@@ -331,6 +341,17 @@ def small_suspension():
         a1, bump, ThetaProfile.logistic(), SUSPENSION_T_GRID, SUSPENSION_X_GRID
     )
     return a1, bump, sus, suspension_spectrum(sus)
+
+
+def grid_space_adjoint(bump, theta_samples, t_grid, x_grid):
+    """D^H in the grid basis, from the oracles' dense Dirac and bump."""
+    d_t = spectral_time_derivative(t_grid)
+    return (
+        np.kron(-d_t, np.eye(x_grid.points))
+        + np.kron(np.eye(t_grid.points), dirac_matrix(x_grid))
+        + np.kron(np.diag(theta_samples.astype(complex)),
+                  multiplication_matrix(bump, x_grid))
+    )
 
 
 class TestSuspension:
@@ -359,23 +380,32 @@ class TestSuspension:
         m = sus.matrix
         assert np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) > 0.01
 
-    def grid_space_adjoint(self, bump, theta_samples):
-        """D^H in the grid basis, from the oracles' dense Dirac and bump."""
-        d_t = spectral_time_derivative(self.T_GRID)
-        return (
-            np.kron(-d_t, np.eye(self.X_GRID.points))
-            + np.kron(np.eye(self.T_GRID.points), dirac_matrix(self.X_GRID))
-            + np.kron(np.diag(theta_samples.astype(complex)),
-                      multiplication_matrix(bump, self.X_GRID))
-        )
-
     def test_adjoint_consistency(self, small_suspension):
         # the matrix is held in the t-site (x) x-plane-wave basis
         _, bump, sus, _ = small_suspension
         basis = np.kron(np.eye(self.T_GRID.points), dft_basis(self.X_GRID.points, 1))
-        independent = basis @ self.grid_space_adjoint(bump, sus.theta_samples)
+        independent = basis @ grid_space_adjoint(
+            bump, sus.theta_samples, self.T_GRID, self.X_GRID
+        )
         independent = independent @ basis.conj().T
         assert np.max(np.abs(sus.matrix.conj().T - independent)) <= 1e-10
+
+    @pytest.mark.parametrize("theta, bump", [
+        (ThetaProfile.logistic(), PerturbationProfile.lorentzian(1.0)),
+        (ThetaProfile.erf_profile(), PerturbationProfile.lorentzian(1.0)),
+        (ThetaProfile.logistic(), PerturbationProfile.zero()),
+    ], ids=["logistic", "erf", "zero-bump"])
+    def test_time_reversal_identity(self, theta, bump):
+        # D^H = P conj(D) P, P the reflection j -> (-j) mod n_t of the time
+        # circle; the spectrum route rests on it
+        n_t, n_x = self.T_GRID.points, NARROW_X_GRID.points
+        sus = build_suspension(
+            discretize_dirac(NARROW_X_GRID), bump, theta, self.T_GRID, NARROW_X_GRID
+        )
+        rows = ((-np.arange(n_t) % n_t)[:, None] * n_x + np.arange(n_x)).ravel()
+        m = sus.matrix
+        reflected = m.conj()[np.ix_(rows, rows)]
+        assert np.max(np.abs(reflected - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
     @pytest.mark.parametrize(
         "bump",
@@ -384,8 +414,7 @@ class TestSuspension:
     )
     def test_values_match_both_gram_spectra(self, bump):
         # DD* and D*D are isospectral for square matrices, which is why the
-        # reported trace runs over the rise window only; the one SVD gives
-        # that common spectrum without forming either product
+        # reported trace runs over the rise window only
         sus = build_suspension(
             discretize_dirac(self.X_GRID), bump, ThetaProfile.logistic(),
             self.T_GRID, self.X_GRID,
@@ -396,26 +425,45 @@ class TestSuspension:
             oracle = np.linalg.eigvalsh(gram)
             assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(oracle)
 
-    def test_spectrum_needs_no_eigensolve(self, small_suspension, monkeypatch):
+    def test_spectrum_is_one_gram_eigensolve(self, small_suspension, monkeypatch):
         _, _, sus, spectrum = small_suspension
+        solve = witten.herm_eig
+        rows = []
 
-        def no_eigensolve(*args, **kwargs):
-            raise AssertionError("suspension_spectrum called herm_eig")
+        def spy(m, *args, **kwargs):
+            rows.append(len(m))
+            return solve(m, *args, **kwargs)
 
-        monkeypatch.setattr(witten, "herm_eig", no_eigensolve)
+        def no_svd(*args, **kwargs):
+            raise AssertionError("suspension_spectrum reached an SVD")
+
+        monkeypatch.setattr(witten, "herm_eig", spy)
+        for owner in (np.linalg, scipy.linalg):
+            monkeypatch.setattr(owner, "svd", no_svd)
+        monkeypatch.setattr(scipy.linalg, "svdvals", no_svd)
         again = suspension_spectrum(sus)
+        assert rows == [self.T_GRID.points * self.X_GRID.points]
         scale = np.max(spectrum.values)
         assert np.max(np.abs(again.values - spectrum.values)) <= 1e-12 * scale
 
-    def test_window_trace_matches_numpy_oracle(self, small_suspension):
+    def test_window_trace_matches_numpy_oracle(self):
         # the oracle runs on the grid-space matrix: the change of x basis
-        # must leave the window masses alone
-        _, bump, sus, spectrum = small_suspension
-        grid_space = self.grid_space_adjoint(bump, sus.theta_samples).conj().T
-        for t in (0.5, 1.0, 2.0):
-            ours = ptf_lhs(sus, t, spectrum)
-            oracle = suspension_window_trace(grid_space, sus.window_mask, t)
-            assert abs(ours - oracle) <= 1e-12 * abs(oracle)
+        # must leave the window masses alone, and the reflected rows of the
+        # left masses must be taken over the time factor only
+        bump = PerturbationProfile.lorentzian(1.0)
+        for x_grid in (self.X_GRID, NARROW_X_GRID):
+            for theta in THETA_PROFILES:
+                sus = build_suspension(
+                    discretize_dirac(x_grid), bump, theta, self.T_GRID, x_grid
+                )
+                spectrum = suspension_spectrum(sus)
+                grid_space = grid_space_adjoint(
+                    bump, sus.theta_samples, self.T_GRID, x_grid
+                ).conj().T
+                for t in (0.5, 1.0, 2.0):
+                    ours = ptf_lhs(sus, t, spectrum)
+                    oracle = suspension_window_trace(grid_space, sus.window_mask, t)
+                    assert abs(ours - oracle) <= 1e-12 * abs(oracle), (x_grid, theta.tag, t)
 
     def test_window_trace_matches_rhs(self, small_suspension):
         a1, bump, sus, spectrum = small_suspension
@@ -423,6 +471,23 @@ class TestSuspension:
             lhs = ptf_lhs(sus, t, spectrum)
             rhs = heat_trace_rhs(a1, bump, t)
             assert abs(lhs - rhs) <= 0.05 * max(abs(rhs), 0.1)
+
+    @pytest.mark.parametrize("theta, bump, symmetry", [
+        (SHIFTED_LOGISTIC, PerturbationProfile.lorentzian(1.0), "theta(-s) = 1 - theta(s)"),
+        (ThetaProfile.logistic(), K_ODD_BUMP, "Phi(-x) = conj Phi(x)"),
+        (ThetaProfile.logistic(), TANH_BUMP, "Phi(-x) = conj Phi(x)"),
+    ], ids=["shifted-theta", "k-odd-bump", "mixed-bump"])
+    def test_time_reversal_breaking_input_rejected(self, theta, bump, symmetry,
+                                                   monkeypatch):
+        def allocates(*args):
+            raise AssertionError("the suspension was assembled")
+
+        monkeypatch.setattr(witten, "spectral_time_derivative", allocates)
+        with pytest.raises(DomainError, match="time reversal") as err:
+            build_suspension(
+                discretize_dirac(self.X_GRID), bump, theta, self.T_GRID, self.X_GRID
+            )
+        assert symmetry in str(err.value)
 
     def test_narrow_time_grid_rejected(self):
         a1 = discretize_dirac(self.X_GRID)
