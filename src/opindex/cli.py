@@ -462,12 +462,13 @@ def _run_toeplitz_winding(p: dict, rec: ResultRecord) -> int:
 
 
 def _witten_setup(p: dict):
-    grid = witten.GridSpec(float(p["half_width"]), int(p["points"]))
-    return witten.discretize_dirac(grid), grid
+    return witten.discretize_dirac(
+        witten.GridSpec(float(p["half_width"]), int(p["points"]))
+    )
 
 
 def _run_witten_estimate(p: dict, rec: ResultRecord) -> int:
-    a1, grid = _witten_setup(p)
+    a1 = _witten_setup(p)
     bump = witten.PerturbationProfile.lorentzian(float(p["mu"]))
     schedule = np.geomspace(float(p["t0"]), float(p["t_top"]), int(p["t_count"]))
     estimate = witten.witten_index_estimate(a1, bump, schedule)
@@ -496,8 +497,6 @@ def _run_ptf_check(p: dict, rec: ResultRecord) -> int:
     tags = _tag_list(str(p["theta_tags"]))
     lhs_by_tag = {}
     for tag in tags:
-        if tag not in _THETA_PROFILES:
-            raise OpIndexError(f"unknown connection profile {tag!r}")
         sus = witten.build_suspension(a1, bump, _THETA_PROFILES[tag](), t_grid, x_grid)
         spectrum = witten.suspension_spectrum(sus)
         lhs_by_tag[tag] = [witten.ptf_lhs(sus, t, spectrum) for t in times]
@@ -525,7 +524,7 @@ def _run_ptf_check(p: dict, rec: ResultRecord) -> int:
 
 
 def _run_compose_check(p: dict, rec: ResultRecord) -> int:
-    a1, grid = _witten_setup(p)
+    a1 = _witten_setup(p)
     b1 = witten.PerturbationProfile.lorentzian(float(p["mu1"]))
     b2 = witten.PerturbationProfile.lorentzian(float(p["mu2"]))
     report = witten.check_composition(a1, b1, b2)
@@ -594,21 +593,17 @@ def _run_sigma_index(p: dict, rec: ResultRecord) -> int:
     return 0 if abs(value - target) <= 1e-6 else 1
 
 
-def _corrected_for_well(depth: float, width: float):
-    well = scattering.Potential.square_well(depth, width)
-    curve = scattering.scattering_matrix(
-        well, scattering.default_k_grid(1e-3, 2000.0, 320)
-    )
+def _corrected(curve: scattering.ScatteringCurve):
     lcurve = scattering.exp_resample(curve)
     sigma = scattering.build_sigma(lcurve.s_minus_inf)
-    report = scattering.corrected_index(lcurve, sigma)
-    return well, sigma, report
+    return sigma, scattering.corrected_index(lcurve, sigma)
 
 
 def _run_corrected_index(p: dict, rec: ResultRecord) -> int:
-    well, sigma, report = _corrected_for_well(
+    well = scattering.Potential.square_well(
         float(p["well_depth"]), float(p["well_width"])
     )
+    sigma, report = _corrected(scattering.scattering_matrix(well))
     n = scattering.bound_states(well)
     rec.results.update(
         fredholm_index=report.fredholm_index,
@@ -632,9 +627,8 @@ def _run_scan(p: dict, rec: ResultRecord) -> int:
     worst_levinson = 0.0
     worst_split = 0.0
     for depth in depths:
-        well = scattering.Potential.square_well(depth, width)
-        lev = scattering.levinson_check(well)
-        _, sigma, cor = _corrected_for_well(depth, width)
+        lev = scattering.levinson_check(scattering.Potential.square_well(depth, width))
+        _, cor = _corrected(lev.curve)
         ok = ok and lev.accepted and cor.fredholm_index == lev.n_bound
         ok = ok and cor.residual <= float(p["max_residual"])
         worst_levinson = max(worst_levinson, lev.residual)

@@ -29,6 +29,14 @@ square-well oracle and recorded in the constants table, also makes the
 free line (t == 1, M_R = 1, delta == 0, N = 0) come out with no special
 casing.
 
+Every well is sampled once, on one grid: K_GRID, 320 geometric points on
+k in [1e-3, 2000], refined where arg det S moves fast.  The Levinson
+balance and the corrected index read the same curve.  The top end is set by
+the high-energy tail: the winding fits delta_inf + c / k over k >= k_max / 2,
+and that Born form holds once V / k^2 is small, which at k >= 1000 means
+V / k^2 <= 1e-4 for wells down to depth 100.  The log-energy line needs
+energies up to 1e3 besides, which any k_max above 32 covers.
+
 The resonant well depth is found at k = 0 itself, where no amplitude frame
 (no 1/(ik)) enters: a half-bound state is a zero-energy solution bounded at
 both ends, so constant outside the well, and it exists exactly when the
@@ -68,9 +76,13 @@ from .errors import (
 )
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
-# slab width of the transfer sweep, and the most k nodes a refined curve holds
+# slab width of the transfer sweep, the one k grid every curve starts from,
+# and the most k nodes a refined curve holds
 SLAB_STEP = 0.01
+K_GRID = np.geomspace(1e-3, 2000.0, 320)
 K_NODE_BUDGET = 4000
+# an unrefined curve holds K_GRID itself as its samples
+K_GRID.setflags(write=False)
 
 
 # ---------------------------------------------------------------------------
@@ -259,18 +271,14 @@ def _unitarity_residuals(s: np.ndarray) -> np.ndarray:
     return np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
 
 
-def default_k_grid(k_min: float = 1e-3, k_max: float = 40.0, count: int = 240):
-    return np.geomspace(k_min, k_max, count)
-
-
-def scattering_matrix(v: Potential, k_grid: np.ndarray | None = None) -> ScatteringCurve:
+def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCurve:
     """Scattering matrices along a k grid, densified until arg det is tame.
 
     The grid is refined by inserting geometric midpoints wherever the
     argument of det S jumps by more than pi/4 between neighbours; running
     past K_NODE_BUDGET nodes raises UndersamplingError.
     """
-    k = np.asarray(default_k_grid() if k_grid is None else k_grid, dtype=float)
+    k = np.asarray(k_grid, dtype=float)
     if np.any(np.diff(k) <= 0) or np.any(k <= 0):
         raise DomainError("k grid must be positive and ascending")
     _free_self_test(k[:: max(1, len(k) // 8)])
@@ -474,15 +482,16 @@ class LevinsonReport:
     curve: ScatteringCurve = field(repr=False)
 
 
-def levinson_check(v: Potential, curve: ScatteringCurve | None = None) -> LevinsonReport:
+def levinson_check(v: Potential) -> LevinsonReport:
     """Assemble the three independent quantities and their residual.
 
     N comes from the Dirichlet eigenvalue count, the winding from the
-    scattering curve, and the resonance flag from threshold transmission;
-    the report is accepted when the residual stays below 0.05.
+    scattering curve on K_GRID, and the resonance flag from threshold
+    transmission; the report is accepted when the residual stays below
+    0.05.  The curve is returned in the report, so that the corrected index
+    of the same well reads the same samples.
     """
-    if curve is None:
-        curve = scattering_matrix(v)
+    curve = scattering_matrix(v)
     n = bound_states(v)
     winding = phase_winding(curve)
     flag, evidence = resonance_detect(v)

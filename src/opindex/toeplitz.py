@@ -31,6 +31,9 @@ from .errors import (
     WindowSizingError,
 )
 
+# |x| at which a line symbol's limits at +-infinity are read
+LIMIT_PROBE = 1e8
+
 
 # ---------------------------------------------------------------------------
 # symbols
@@ -80,11 +83,10 @@ class LineSymbol:
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     sample_count: int = 4096
-    limit_probe: float = 1e8
 
     def limit(self) -> complex:
-        lo = complex(np.asarray(self.evaluator(np.array([-self.limit_probe])))[0])
-        hi = complex(np.asarray(self.evaluator(np.array([self.limit_probe])))[0])
+        lo = complex(np.asarray(self.evaluator(np.array([-LIMIT_PROBE])))[0])
+        hi = complex(np.asarray(self.evaluator(np.array([LIMIT_PROBE])))[0])
         scale = max(abs(lo), abs(hi), 1.0)
         if abs(hi - lo) > 1e-6 * scale:
             raise DomainError(

@@ -201,13 +201,11 @@ class PerturbationProfile:
     the values, of shape (m,) for dim 1 or (m, dim, dim).
     ``decay_certificate`` is sup |Phi(x)| (1 + x^2) over a wide probe grid;
     profiles whose certificate stays below the library bound are eligible
-    for the closed-form index integral.  ``mu`` records the nominal scale
-    of scaled families (the evaluator already includes it).
+    for the closed-form index integral.
     """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     dim: int = 1
-    mu: float = 1.0
     decay_certificate: float = field(init=False)
 
     def __post_init__(self):
@@ -244,21 +242,17 @@ class PerturbationProfile:
     @classmethod
     def lorentzian(cls, mu: float = 1.0) -> "PerturbationProfile":
         """The scaled bump mu / (1 + x^2), the default example family."""
-        return cls(evaluator=lambda x: mu / (1.0 + x * x), dim=1, mu=mu)
+        return cls(evaluator=lambda x: mu / (1.0 + x * x))
 
     @classmethod
     def zero(cls, dim: int = 1) -> "PerturbationProfile":
-        return cls(evaluator=lambda x: np.zeros((len(x), dim, dim)), dim=dim, mu=0.0)
+        return cls(evaluator=lambda x: np.zeros((len(x), dim, dim)), dim=dim)
 
     def __add__(self, other: "PerturbationProfile") -> "PerturbationProfile":
         if self.dim != other.dim:
             raise DomainError("cannot add profiles of different dim")
         mine, theirs = self.samples, other.samples
-        return PerturbationProfile(
-            evaluator=lambda x: mine(x) + theirs(x),
-            dim=self.dim,
-            mu=self.mu + other.mu,
-        )
+        return PerturbationProfile(evaluator=lambda x: mine(x) + theirs(x), dim=self.dim)
 
 
 def _site_values(b: PerturbationProfile, grid: GridSpec) -> np.ndarray:

@@ -92,12 +92,6 @@ def scan_wells():
 
 
 @pytest.fixture(scope="session")
-def scan_curves(scan_wells):
-    grid = scattering.default_k_grid(1e-3, 2000.0, 320)
-    return {d: scattering.scattering_matrix(w, grid) for d, w in scan_wells.items()}
-
-
-@pytest.fixture(scope="session")
 def resonant_depth():
     return scattering.find_resonant_depth()
 
@@ -108,24 +102,28 @@ def resonant_well(resonant_depth):
 
 
 @pytest.fixture(scope="session")
-def resonant_curve(resonant_well):
-    grid = scattering.default_k_grid(1e-3, 2000.0, 320)
-    return scattering.scattering_matrix(resonant_well, grid)
-
-
-@pytest.fixture(scope="session")
-def levinson_reports(scan_wells, scan_curves, resonant_well, resonant_curve):
+def levinson_reports(scan_wells, resonant_well):
+    """Levinson reports of the scan wells and the resonant well; each carries its curve."""
     start = time.perf_counter()
-    reports = {
-        d: scattering.levinson_check(scan_wells[d], scan_curves[d])
-        for d in SCAN_DEPTHS
-    }
-    resonant = scattering.levinson_check(resonant_well, resonant_curve)
+    reports = {d: scattering.levinson_check(w) for d, w in scan_wells.items()}
+    resonant = scattering.levinson_check(resonant_well)
     return reports, resonant, time.perf_counter() - start
 
 
 @pytest.fixture(scope="session")
-def corrected_reports(scan_wells, scan_curves, resonant_curve):
+def scan_curves(levinson_reports):
+    reports, _, _ = levinson_reports
+    return {d: report.curve for d, report in reports.items()}
+
+
+@pytest.fixture(scope="session")
+def resonant_curve(levinson_reports):
+    _, resonant, _ = levinson_reports
+    return resonant.curve
+
+
+@pytest.fixture(scope="session")
+def corrected_reports(scan_curves, resonant_curve):
     start = time.perf_counter()
     out = {}
     for depth, curve in {**scan_curves, "resonant": resonant_curve}.items():

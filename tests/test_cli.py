@@ -243,7 +243,10 @@ class TestExitCodes:
         record, code = run(parse_config(["levinson", "--well-depth", "2"]))
         assert code == 0
         assert record.residuals["levinson"] <= 0.05
-        assert record.curves["scattering"]["rows"]
+        rows = record.curves["scattering"]["rows"]
+        # the curve of K_GRID, which corrected-index samples too
+        assert rows[0][0] == 1e-3
+        assert rows[-1][0] == 2000.0
 
     def test_levinson_strict_residual_fails_with_1(self):
         _, code = run(parse_config(
@@ -273,14 +276,18 @@ class TestExitCodes:
         assert record.results["error_kind"] == "IntegrationError"
         assert "at k = " in record.results["error"]
 
-    def test_deep_well_levinson_residual_exits_1(self):
-        # the integrated chain passes its det check at depth 100; the exit
-        # comes from the balance, whose k grid stops at 40 for any depth
+    def test_deep_well_levinson_balance_exits_0(self):
+        # K_GRID runs to k = 2000, so the c / k tail fit of the winding
+        # starts at k = 1000, where V / k^2 = 1e-4 at depth 100
         record, code = run(parse_config(["levinson", "--well-depth", "100"]))
-        assert code == 1
-        assert "error_kind" not in record.results
+        assert code == 0
         assert record.results["n_bound"] == 7
-        assert 0.05 < record.residuals["levinson"] < 0.1
+        assert record.residuals["levinson"] <= 1e-5
+
+    def test_scan_to_depth_90_exits_0(self):
+        record, code = run(parse_config(["scan", "--depths", "0.3,3,40,90"]))
+        assert code == 0
+        assert record.residuals["worst_levinson"] <= 1e-5
 
     def test_eigensolver_error_exits_1(self, monkeypatch):
         # the path split's windowed solves compute their vectors by dstein
@@ -404,6 +411,22 @@ class TestCommandResults:
         assert closed == pytest.approx(0.5, abs=1e-8)
         # small grid biases the plateau to 2 arctan(20)/(2 pi)
         assert record.results["plateau"] == pytest.approx(0.484, abs=2e-3)
+
+    @pytest.mark.parametrize("command, calls", [("scan", 7), ("corrected-index", 1)])
+    def test_one_curve_per_well(self, command, calls, monkeypatch):
+        # scan's six default depths and the resonance are seven wells; the
+        # Levinson balance and the corrected index read each well's one curve
+        sampled = []
+        sample = scattering.scattering_matrix
+
+        def spy(v, *args, **kwargs):
+            sampled.append(v)
+            return sample(v, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "scattering_matrix", spy)
+        _, code = run(parse_config([command]))
+        assert code == 0
+        assert len(sampled) == calls
 
     def test_corrected_index_command(self):
         record, code = run(parse_config(["corrected-index", "--well-depth", "2"]))

@@ -17,7 +17,6 @@ from opindex.scattering import (
     bound_states,
     build_sigma,
     corrected_index,
-    default_k_grid,
     exp_resample,
     find_resonant_depth,
     levinson_check,
@@ -71,11 +70,11 @@ class TestTransferMatrix:
             transfer_matrices(WELL, np.geomspace(1e-3, 40.0, 16))
 
     def test_deep_well_passes_chain_det_check(self):
-        # on the default grid det T drifts 1.1e-8 at k = 1.05e-3 through the
+        # at k = 1e-3, the head of K_GRID, det T drifts 1.1e-8 through the
         # 1/(ik) of the amplitude frame, while the integrated (psi, psi')
         # chain stays at rounding, and S is unitary to rounding
         deep = Potential.square_well(100.0, 1.0)
-        t = transfer_matrices(deep, default_k_grid())
+        t = transfer_matrices(deep, scattering.K_GRID)
         flux = np.abs(1.0 / t[:, 1, 1]) ** 2 + np.abs(t[:, 1, 0] / t[:, 1, 1]) ** 2
         assert np.max(np.abs(flux - 1.0)) <= 1e-12
 
@@ -270,11 +269,11 @@ class TestSturmCount:
 
 class TestScatteringCurve:
     def test_free_curve_is_identity(self):
-        curve = scattering_matrix(Potential.free(), default_k_grid(1e-3, 40.0, 64))
+        curve = scattering_matrix(Potential.free(), np.geomspace(1e-3, 40.0, 64))
         assert np.max(np.abs(curve.s_matrices - np.eye(2))) <= 1e-10
 
     def test_transmission_matches_textbook(self):
-        curve = scattering_matrix(WELL, default_k_grid(1e-2, 20.0, 96))
+        curve = scattering_matrix(WELL, np.geomspace(1e-2, 20.0, 96))
         ours = np.abs(curve.s_matrices[:, 0, 0]) ** 2
         oracle = square_well_transmission_sq(2.0, 1.0, curve.k_samples)
         assert np.max(np.abs(ours - oracle)) <= 1e-6
@@ -290,7 +289,7 @@ class TestScatteringCurve:
     def test_coarse_grid_auto_refined(self):
         # a deep well winds fast at low k; the curve must densify itself
         deep = Potential.square_well(25.0, 1.0)
-        coarse = default_k_grid(1e-3, 40.0, 24)
+        coarse = np.geomspace(1e-3, 40.0, 24)
         curve = scattering_matrix(deep, coarse)
         assert len(curve.k_samples) > 24
         args = np.angle(curve.det())
@@ -315,7 +314,7 @@ class TestBoundStates:
 
 class TestPhaseWinding:
     def test_free_curve(self):
-        curve = scattering_matrix(Potential.free(), default_k_grid(1e-3, 40.0, 64))
+        curve = scattering_matrix(Potential.free(), np.geomspace(1e-3, 40.0, 64))
         assert abs(phase_winding(curve)) <= 1e-10
 
     def test_single_bound_state_winding(self, scan_curves):
@@ -324,8 +323,8 @@ class TestPhaseWinding:
         assert abs(winding - (-np.pi)) <= 0.05 * np.pi
 
     def test_refinement_stability(self):
-        coarse = scattering_matrix(WELL, default_k_grid(1e-3, 40.0, 160))
-        fine = scattering_matrix(WELL, default_k_grid(1e-3, 40.0, 320))
+        coarse = scattering_matrix(WELL, np.geomspace(1e-3, 40.0, 160))
+        fine = scattering_matrix(WELL, np.geomspace(1e-3, 40.0, 320))
         assert abs(phase_winding(coarse) - phase_winding(fine)) <= 1e-3
 
 
@@ -412,7 +411,7 @@ class TestLevinson:
 class TestExpResample:
     def test_free_curve_constant_identity(self):
         curve = scattering_matrix(
-            Potential.free(), default_k_grid(1e-3, 2000.0, 96)
+            Potential.free(), np.geomspace(1e-3, 2000.0, 96)
         )
         lcurve = exp_resample(curve)
         assert np.max(np.abs(lcurve.s_matrices - np.eye(2))) <= 1e-10
@@ -447,7 +446,7 @@ class TestExpResample:
         assert np.max(jumps) <= np.pi / 2
 
     def test_short_curve_rejected(self):
-        curve = scattering_matrix(WELL, default_k_grid(0.1, 10.0, 48))
+        curve = scattering_matrix(WELL, np.geomspace(0.1, 10.0, 48))
         with pytest.raises(RangeError):
             exp_resample(curve)
 
@@ -529,7 +528,7 @@ class TestSigmaFactor:
 class TestCorrectedIndex:
     def test_free_with_trivial_sigma(self):
         curve = scattering_matrix(
-            Potential.free(), default_k_grid(1e-3, 2000.0, 96)
+            Potential.free(), np.geomspace(1e-3, 2000.0, 96)
         )
         lcurve = exp_resample(curve)
         sigma = build_sigma(lcurve.s_minus_inf)

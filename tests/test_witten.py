@@ -39,11 +39,15 @@ from oracles import (
 )
 
 SMALL_GRID = GridSpec(20.0, 256)
+# the spacing of SMALL_GRID on half its box, for the 2x2 oracle comparisons:
+# the heat window of the path split still cuts the spectrum
+MATRIX_GRID = GridSpec(10.0, 128)
 # 2x2 bumps whose off-diagonal entries are shaped unlike the diagonal ones,
 # so the blockwise weights v^H B v mix the two components of every site.
 # On a resolved grid at large t the s-integrand sees only tr B and the
-# off-diagonal part of the weights cancels to rounding; at t = 0.2 it moves
-# the legs by ~5e-12, which the 1e-13 oracle comparison resolves.
+# off-diagonal part of the weights cancels to rounding; at t = 0.2 on
+# MATRIX_GRID it moves the legs by >= 3.9e-12, which the 1e-13 oracle
+# comparison resolves.
 # Evaluators take x of shape (m,); x[:, None, None] scales 2x2 matrices per point.
 MATRIX_BUMP_1 = PerturbationProfile(
     evaluator=lambda x: np.diag([1.0, 0.5]) / (1.0 + x * x)[:, None, None]
@@ -136,7 +140,6 @@ class TestPerturbationProfile:
 
     def test_addition_tracks_scale(self):
         total = PerturbationProfile.lorentzian(0.7) + PerturbationProfile.lorentzian(0.9)
-        assert total.mu == pytest.approx(1.6)
         assert total.samples(np.array([0.3]))[0, 0, 0].real == pytest.approx(1.6 / 1.09)
 
     @pytest.mark.parametrize("bump", [PerturbationProfile.lorentzian(0.7), MATRIX_BUMP_1,
@@ -582,23 +585,25 @@ class TestComposition:
         assert residual[8] <= 1e-13
 
     @pytest.mark.parametrize(
-        "b1, b2, t",
+        "b1, b2, t, grid",
         [
-            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 2.0),
-            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.zero(), 2.0),
-            (MATRIX_BUMP_1, MATRIX_BUMP_2, 0.2),
-            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 0.05),
-            (REAL_EVEN_BUMP, TANH_BUMP, 0.2),
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 2.0,
+             SMALL_GRID),
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.zero(), 2.0, SMALL_GRID),
+            (MATRIX_BUMP_1, MATRIX_BUMP_2, 0.2, MATRIX_GRID),
+            (PerturbationProfile.lorentzian(0.7), PerturbationProfile.lorentzian(0.9), 0.05,
+             SMALL_GRID),
+            (REAL_EVEN_BUMP, TANH_BUMP, 0.2, MATRIX_GRID),
         ],
         ids=["lorentzian", "zero-second-leg", "matrix-valued", "window-keeps-all",
              "real-first-leg-2x2"],
     )
-    def test_path_split_matches_full_spectrum_oracle(self, b1, b2, t):
-        report = path_splitting_check(discretize_dirac(SMALL_GRID), b1, b2, t)
+    def test_path_split_matches_full_spectrum_oracle(self, b1, b2, t, grid):
+        report = path_splitting_check(discretize_dirac(grid), b1, b2, t)
         oracle = path_split_full_spectrum(
-            dirac_matrix(SMALL_GRID, b1.dim),
-            multiplication_matrix(b1, SMALL_GRID),
-            multiplication_matrix(b2, SMALL_GRID),
+            dirac_matrix(grid, b1.dim),
+            multiplication_matrix(b1, grid),
+            multiplication_matrix(b2, grid),
             t,
         )
         ours = (report.direct, report.first_leg, report.second_leg)
