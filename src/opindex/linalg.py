@@ -36,14 +36,24 @@ of about eps ||D||^2, the order ``gesdd`` gives for s^2, so forming the Gram
 matrix costs no accuracy there.  On 2304 complex rows (a 2-core host) the
 product and its ``evr`` solve took 7.2-7.5 s against 13.6 s for ``gesdd``,
 and held 2.1 dense copies of D besides D itself against 5.5.
+
+The one quadrature, ``line_integral``, integrates over the whole real line
+on fixed nodes: Gauss-Legendre on (-1, 1) mapped by x = tan(pi u / 2), so
+the integrand becomes f(x) (1 + x^2) pi / 2, which is constant for a
+Lorentzian and decays like (1 + x^2) f(x) for any other profile.  It sums
+the rule at 64 and at 128 nodes, one vectorised call of f per rule, and
+reports |I_128 - I_64| as its error estimate; a profile too narrow for 64
+nodes shows up there instead of passing as a wrong value.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from functools import lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.linalg
+from numpy.polynomial.legendre import leggauss
 from scipy.linalg import lapack
 
 from .errors import EigensolverError, ShapeError
@@ -161,3 +171,29 @@ def herm_eigvals(m) -> np.ndarray:
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
+
+
+# node counts of the coarse and the fine line rule
+_LINE_RULE_NODES = (64, 128)
+
+
+@lru_cache(maxsize=None)
+def _line_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the n-point Gauss-Legendre rule mapped onto the
+    real line by x = tan(pi u / 2); built on first use, then read-only."""
+    u, w = leggauss(n)
+    x = np.tan(0.5 * np.pi * u)
+    weights = w * (0.5 * np.pi) * (1.0 + x * x)
+    x.flags.writeable = weights.flags.writeable = False
+    return x, weights
+
+
+def line_integral(f: Callable[[np.ndarray], np.ndarray]) -> tuple[float, float]:
+    """Integral of f over the real line, and the estimate |I_128 - I_64| of
+    its error.
+
+    ``f`` takes the nodes as an array of shape (m,) and returns the m real
+    values.
+    """
+    coarse, fine = (float(w @ f(x)) for x, w in map(_line_rule, _LINE_RULE_NODES))
+    return fine, abs(fine - coarse)

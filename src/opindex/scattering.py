@@ -51,8 +51,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .constants import (
     FREE_SELF_TEST_TOL,
@@ -74,6 +72,7 @@ from .errors import (
     RangeError,
     UndersamplingError,
 )
+from .linalg import line_integral
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
 # slab width of the transfer sweep, the one k grid every curve starts from,
@@ -454,8 +453,58 @@ def find_resonant_depth(half_width: float = 1.0) -> float:
         return float(_slab_chain(well, zero_energy, SLAB_STEP)[0, 1, 0].real)
 
     quarter = math.pi / (4.0 * half_width)
-    return brentq(entry, quarter ** 2, (3.0 * quarter) ** 2,
-                  xtol=np.finfo(float).tiny, rtol=4.0 * np.finfo(float).eps)
+    eps = np.finfo(float)
+    return float(_brent_root(entry, quarter ** 2, (3.0 * quarter) ** 2,
+                             xtol=eps.tiny, rtol=4.0 * eps.eps))
+
+
+def _brent_root(f: Callable[[float], float], a: float, b: float,
+                xtol: float, rtol: float) -> float:
+    """The root of f in [a, b], where f changes sign, by Brent's method.
+
+    Inverse quadratic interpolation, secant steps and bisection, in the step
+    order of Brent, Algorithms for Minimization without Derivatives (1973),
+    ch. 4, as scipy's brentq takes them; it stops once the bracket is
+    narrower than xtol + rtol |x|, within brentq's 100 steps.
+    """
+    xpre, xcur = a, b
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ConstructionError(f"no sign change of the root function on [{a}, {b}]")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(100):
+        if fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    raise ConstructionError("Brent's method did not converge in 100 steps")
 
 
 # ---------------------------------------------------------------------------
@@ -695,14 +744,13 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
 def witten_index_sigma(sigma: SigmaFactor) -> float:
     """Closed-form index of the pair (D, sigma D sigma*).
 
-    Quadrature of tr Phi_sigma / (2 pi) over the line; the result must land
-    within 1e-3 of {0, 1/2} or the construction is inconsistent.
+    ``line_integral`` of tr Phi_sigma / (2 pi) over the line; the result
+    must land within 1e-3 of {0, 1/2} or the construction is inconsistent.
     """
     if sigma.branch == "trivial":
         return 0.0
-    value, _ = quad(
-        lambda lam: float(np.trace(sigma.profile(lam)).real),
-        -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=200,
+    value, _ = line_integral(
+        lambda lam: np.trace(sigma.profile(lam), axis1=-2, axis2=-1).real
     )
     value /= 2.0 * np.pi
     nearest = 0.0 if abs(value) < abs(value - 0.5) else 0.5

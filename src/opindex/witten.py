@@ -68,16 +68,15 @@ that is not K-symmetric) are refused.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
+from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
-from scipy.fft import fft, ifft
-from scipy.integrate import quad
 from scipy.linalg.blas import zherk
-from scipy.special import erf as _erf
 
 from .constants import (
     CLOSED_FORM_ABS_TOL,
@@ -94,7 +93,11 @@ from .constants import (
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
-from .linalg import herm_eig, herm_eigvals
+from .linalg import herm_eig, herm_eigvals, line_integral
+
+# the error function, elementwise on arrays; math.erf keeps scipy.special,
+# and the start-up time it costs, off the import path
+_erf = np.vectorize(math.erf, otypes=[float])
 
 
 # ---------------------------------------------------------------------------
@@ -231,9 +234,6 @@ class PerturbationProfile:
                 f"of dim {self.dim}"
             )
         return v
-
-    def trace_at(self, x: float) -> float:
-        return float(np.trace(self.samples(np.array([x]))[0]).real)
 
     @property
     def has_decay(self) -> bool:
@@ -432,17 +432,17 @@ def witten_index_estimate(
 def witten_index_closed_form(b: PerturbationProfile) -> float:
     """The closed-form pair index (1 / 2 pi) integral of tr Phi.
 
-    Adaptive quadrature over the whole line; requires the decay certificate
-    so the tail is controlled, and insists on an absolute error below the
-    library budget.
+    The fixed-node ``line_integral`` over the whole line, tracing Phi at
+    every node in one call; requires the decay certificate so the tail is
+    controlled, and insists on an error estimate below the library budget.
     """
     if not b.has_decay:
         raise InsufficientDecayError(
             f"decay certificate {b.decay_certificate:.3e} exceeds "
             f"{DECAY_CERT_MAX:.1e}; closed form unavailable"
         )
-    value, err = quad(
-        b.trace_at, -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400
+    value, err = line_integral(
+        lambda x: np.trace(b.samples(x), axis1=1, axis2=2).real
     )
     if err > CLOSED_FORM_ABS_TOL:
         raise InsufficientDecayError(

@@ -6,9 +6,10 @@ heat operator assembled from eigenmodes, RK4 ODE stepping, the
 slab-by-slab transfer sweep, analytic two-interface matching,
 transcendental root counting, the Sturm count over the whole Dirichlet
 box, Gauss-Legendre quadrature of the heat-trace
-s-integral over the full spectrum, suspension traces from numpy's own
-LAPACK, dense matrices of shift-lattice band maps assembled entry by
-entry, the grid-space Dirac and bump matrices with their plane-wave forms
+s-integral over the full spectrum, QUADPACK's adaptive ``quad`` for the
+closed-form pair index, scipy's ``brentq`` for the resonant depth,
+suspension traces from numpy's own LAPACK, dense matrices of shift-lattice
+band maps assembled entry by entry, the grid-space Dirac and bump matrices with their plane-wave forms
 taken through the dense DFT matrix, and Fredholm kernel/cokernel counts
 from the singular values of dense Toeplitz truncations.
 """
@@ -17,11 +18,14 @@ import math
 
 import numpy as np
 import scipy.linalg
+from scipy.integrate import quad
 from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
+from scipy.optimize import brentq
 
+from opindex import scattering
 from opindex.errors import DomainError, InconclusiveError
 from opindex.linalg import herm_eig
-from opindex.scattering import _amplitude_frames, _slab_propagators
+from opindex.scattering import Potential, _amplitude_frames, _slab_propagators
 
 SVD_RANK_TOL = 1e-7  # singular values below this count as zero
 
@@ -203,6 +207,30 @@ def dirichlet_negative_count_full(v, half_width: float, n: int) -> int:
         if q < 0:
             count += 1
     return count
+
+
+def closed_form_quad(profile) -> float:
+    """(1 / 2 pi) integral of tr Phi by adaptive QUADPACK quadrature, one
+    profile value per point."""
+    value, _ = quad(
+        lambda x: float(np.trace(profile.samples(np.array([x]))[0]).real),
+        -np.inf, np.inf, epsabs=1e-12, epsrel=1e-12, limit=400,
+    )
+    return value / (2.0 * np.pi)
+
+
+def resonant_depth_brentq(half_width: float) -> float:
+    """The library's resonant-depth bracket and tolerances, solved by brentq."""
+
+    def entry(depth: float) -> float:
+        well = Potential.square_well(depth, half_width)
+        chain = scattering._slab_chain(well, np.zeros(1), scattering.SLAB_STEP)
+        return float(chain[0, 1, 0].real)
+
+    quarter = math.pi / (4.0 * half_width)
+    eps = np.finfo(float)
+    return brentq(entry, quarter ** 2, (3.0 * quarter) ** 2,
+                  xtol=eps.tiny, rtol=4.0 * eps.eps)
 
 
 def dirac_matrix(grid, dim: int = 1) -> np.ndarray:

@@ -3,6 +3,9 @@
 import ast
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -53,6 +56,20 @@ def test_tracer_finds_every_wrapped_name():
         assert tracer.stats[f"scattering.{name}.calls"] >= 1, name
     # written by the hook that binds scattering_matrix's and the sweep's v
     assert "scattering.scattering_matrix.refine_rounds" in tracer.stats
+
+
+def test_import_loads_no_heavy_scipy_subpackage():
+    # every command pays for what `import opindex.cli` loads; of scipy the
+    # library needs only scipy.linalg
+    src = Path(opindex.__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(src), os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, opindex.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    heavy = {"scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special"}
+    assert sorted(heavy & set(done.stdout.split())) == []
 
 
 class TestParsing:
@@ -306,7 +323,7 @@ class TestExitCodes:
     def test_construction_error_exits_1(self, monkeypatch):
         # the antidiagonal branch's index quadrature must land on 0 or 1/2;
         # 0.3 / (2 pi) = 0.048 lands on neither
-        monkeypatch.setattr(scattering, "quad", lambda *args, **kwargs: (0.3, 0.0))
+        monkeypatch.setattr(scattering, "line_integral", lambda f: (0.3, 0.0))
         record, code = run(parse_config(["sigma-index", "--branch", "antidiagonal"]))
         assert code == 1
         assert record.results["error_kind"] == "ConstructionError"

@@ -7,7 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from opindex import witten
 from opindex.errors import DomainError, ShapeError
-from opindex.linalg import EigenSystem, as_square_matrix, herm_eig, herm_eigvals
+from opindex.linalg import (
+    EigenSystem,
+    as_square_matrix,
+    herm_eig,
+    herm_eigvals,
+    line_integral,
+)
 
 from oracles import dirac_matrix, heat_operator, multiplication_matrix, pade_expm
 
@@ -213,3 +219,27 @@ def test_eigen_system_named_fields():
     es = herm_eig(np.diag([3.0, 1.0]))
     assert isinstance(es, EigenSystem)
     assert es.values[0] <= es.values[1]
+
+
+class TestLineIntegral:
+    def test_lorentzian_is_exact(self):
+        # the mapped integrand of 1 / (1 + x^2) is the constant pi / 2
+        value, err = line_integral(lambda x: 1.0 / (1.0 + x * x))
+        assert value == pytest.approx(np.pi, abs=1e-14)
+        assert err <= 1e-14
+
+    def test_gaussian_and_error_estimate(self):
+        value, err = line_integral(lambda x: np.exp(-x * x))
+        assert value == pytest.approx(np.sqrt(np.pi), abs=1e-13)
+        assert abs(value - np.sqrt(np.pi)) <= err + 1e-15
+        assert err <= 1e-12
+
+    def test_one_call_per_rule(self):
+        sizes = []
+
+        def f(x):
+            sizes.append(len(x))
+            return np.zeros_like(x)
+
+        assert line_integral(f) == (0.0, 0.0)
+        assert sizes == [64, 128]

@@ -29,6 +29,7 @@ from opindex.scattering import (
 
 from oracles import (
     dirichlet_negative_count_full,
+    resonant_depth_brentq,
     rk4_transfer,
     square_well_bound_count,
     square_well_transfer,
@@ -373,6 +374,24 @@ class TestResonanceDetection:
         # a half-bound state of the square well needs 2 a sqrt(D) = pi
         depth = find_resonant_depth(half_width)
         assert depth == pytest.approx((np.pi / (2.0 * half_width)) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("half_width", [0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
+    def test_resonant_depth_matches_brentq_oracle(self, half_width, monkeypatch):
+        # the same steps as scipy's brentq on the same chain entry: the same
+        # root to the last bit, from at most the 10 chain evaluations it needs
+        expected = resonant_depth_brentq(half_width)
+        chain = scattering._slab_chain
+        calls = []
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return chain(*args, **kwargs)
+
+        monkeypatch.setattr(scattering, "_slab_chain", spy)
+        depth = find_resonant_depth(half_width)
+        assert type(depth) is float
+        assert depth == expected
+        assert len(calls) <= 10
 
     def test_resonant_depth_needs_no_amplitude_frame(self, monkeypatch):
         def no_transfer(*args, **kwargs):

@@ -29,6 +29,7 @@ from opindex.witten import (
 )
 
 from oracles import (
+    closed_form_quad,
     dft_basis,
     dirac_matrix,
     heat_trace_quadrature,
@@ -321,6 +322,27 @@ class TestClosedForm:
             evaluator=lambda x: np.diag([1.0, 2.0]) / (1.0 + x * x)[:, None, None], dim=2
         )
         assert witten_index_closed_form(bump) == pytest.approx(1.5, abs=1e-9)
+
+    @pytest.mark.parametrize("bump", [
+        PerturbationProfile.lorentzian(0.7) + PerturbationProfile.lorentzian(0.9),
+        PerturbationProfile(evaluator=lambda x: 0.8 * np.exp(-x * x)),
+        MATRIX_BUMP_1,
+        REAL_EVEN_BUMP,
+        TANH_BUMP,
+    ], ids=["lorentzian-pair", "gaussian", "matrix-1", "real-even", "tanh"])
+    def test_matches_adaptive_quadrature_oracle(self, bump):
+        assert witten_index_closed_form(bump) == pytest.approx(
+            closed_form_quad(bump), abs=1e-10
+        )
+
+    def test_spike_too_narrow_for_the_nodes_rejected(self):
+        # width 0.05 lies between the nodes of the 64-point rule, so the two
+        # rules disagree (by 2.6e-3) far above the budget; adaptive
+        # quadrature resolved it, the fixed nodes refuse it
+        spike = PerturbationProfile(evaluator=lambda x: np.exp(-(x / 0.05) ** 2))
+        assert spike.has_decay
+        with pytest.raises(InsufficientDecayError, match="quadrature error"):
+            witten_index_closed_form(spike)
 
 
 SUSPENSION_X_GRID = GridSpec(8.0, 24)
