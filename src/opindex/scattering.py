@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .constants import (
-    FREE_SELF_TEST_TOL,
+    HALF_BOUND_TOL,
     LEVINSON_CONVENTION,
     LEVINSON_MAX_RESIDUAL,
     LEVINSON_SIGN,
@@ -167,29 +167,36 @@ def _amplitude_frames(x: float, k: np.ndarray):
     return frame, inv
 
 
-def _slab_chain(v: Potential, k2: np.ndarray, step: float) -> np.ndarray:
-    """Batched (psi, psi') propagators over [-a-1, a+1] for energies k^2 >= 0.
+def _slab_runs(v: Potential, step: float) -> tuple[np.ndarray, np.ndarray]:
+    """The midpoint-sampled, piecewise-constant model of V on [-a, a].
 
-    The support [-a, a] is cut into slabs of width about ``step`` and V is
-    sampled at each slab midpoint.  Each run of equal midpoint values is one
-    slab of constant q^2 = k^2 - V, whose exact propagator over the whole
-    run equals the product of its per-slab propagators, so a square well is
-    three slabs (free, well, free) at any step.  The Wronskian check,
-    |det - 1| within TRANSFER_DET_TOL, is made on the chain.
+    The support is cut into slabs of width about ``step`` and V is sampled
+    at each slab midpoint.  Each run of equal midpoint values is one slab of
+    constant V; returns the run values and run widths, left to right.
     """
     a = v.support_radius
     n_in = max(2, int(round(2.0 * a / step)))
     h_in = 2.0 * a / n_in
     mids = -a + h_in * (np.arange(n_in) + 0.5)
     v_mid = np.asarray(v.evaluator(mids), dtype=float)
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(v_mid)) + 1))
-    counts = np.diff(starts, append=n_in)
+    bounds = np.concatenate(([0], np.flatnonzero(v_mid[1:] != v_mid[:-1]) + 1, [n_in]))
+    return v_mid[bounds[:-1]], np.diff(bounds) * h_in
 
+
+def _slab_chain(v: Potential, k2: np.ndarray, step: float) -> np.ndarray:
+    """Batched (psi, psi') propagators over [-a-1, a+1] for energies k^2 >= 0.
+
+    Each run of :func:`_slab_runs` is one slab of constant q^2 = k^2 - V,
+    whose exact propagator over the whole run equals the product of its
+    per-slab propagators, so a square well is three slabs (free, well,
+    free) at any step.  The Wronskian check, |det - 1| within
+    TRANSFER_DET_TOL, is made on the chain.
+    """
     # outer stretches are free, one exact slab each
     chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
-    for vm, count in zip(v_mid[starts], counts):
+    for vm, width in zip(*_slab_runs(v, step)):
         q = np.sqrt(k2 - vm + 0j)
-        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, count * h_in), chain)
+        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, width), chain)
     chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
 
     drift = np.abs(_det2(chain) - 1.0)
@@ -222,17 +229,6 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = SLAB_STEP) -> n
     frame_left, _ = _amplitude_frames(-a - 1.0, k)
     _, inv_right = _amplitude_frames(a + 1.0, k)
     return np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
-
-
-def _free_self_test(k_probe: np.ndarray):
-    """The stepping scheme must reproduce the identity exactly for V == 0."""
-    t = transfer_matrices(Potential.free(), k_probe)
-    drift = float(np.max(np.abs(t - np.eye(2))))
-    if drift > FREE_SELF_TEST_TOL:
-        raise IntegrationError(
-            f"free-potential self-test drift {drift:.2e} exceeds "
-            f"{FREE_SELF_TEST_TOL:.1e}"
-        )
 
 
 def _s_from_transfer(t_mats: np.ndarray) -> np.ndarray:
@@ -280,7 +276,6 @@ def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCu
     k = np.asarray(k_grid, dtype=float)
     if np.any(np.diff(k) <= 0) or np.any(k <= 0):
         raise DomainError("k grid must be positive and ascending")
-    _free_self_test(k[:: max(1, len(k) // 8)])
 
     for _ in range(12):
         s = _s_from_transfer(transfer_matrices(v, k))
@@ -310,69 +305,49 @@ def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCu
 # bound states
 
 
-def _dirichlet_negative_count(v: Potential, half_width: float, n: int) -> int:
-    """Eigenvalues below zero of the Dirichlet finite-difference Hamiltonian.
-
-    Sturm-sequence inertia count of the tridiagonal matrix; O(n), no
-    eigenvectors.  Only the live sites, from the first to the last one where
-    V != 0, run through the pivot loop.  The two end runs of free sites are
-    eliminated in closed form from their outer ends: a free run of m sites
-    has the positive pivots (i + 1) / (i h^2), i = 1..m, so the left run
-    hands the first live site the previous pivot (m + 1) / (m h^2) and the
-    right run subtracts off^2 m h^2 / (m + 1) from the last live diagonal
-    entry.  By Sylvester's law of inertia the number of negative pivots does
-    not depend on the elimination order, and the free runs contribute none,
-    so the count is that of the full left-to-right sweep.
-    """
-    h = 2.0 * half_width / n
-    x = -half_width + h * np.arange(1, n)
-    pot = np.asarray(v.evaluator(x), dtype=float)
-    live = np.flatnonzero(pot)
-    if len(live) == 0:
-        return 0
-    first, last = int(live[0]), int(live[-1])
-    h2 = h * h
-    diag = 2.0 / h2 + pot[first:last + 1]
-    off2 = (1.0 / h2) ** 2
-    right = len(pot) - 1 - last
-    if right:
-        diag[-1] -= off2 * right * h2 / (right + 1)
-    tiny = 1e-300
-    count = 0
-    # with no free sites on the left an infinite previous pivot makes the
-    # first pivot diag[0]; iterating a memoryview yields Python floats, which
-    # this loop runs through about 2.7 times faster than numpy scalars; with
-    # Python floats a zero pivot would raise ZeroDivisionError without the
-    # tiny guard
-    q = (first + 1) / (first * h2) if first else math.inf
-    for d in memoryview(diag):
-        if q == 0.0:
-            q = tiny
-        q = d - off2 / q
-        if q < 0:
-            count += 1
-    return count
-
-
 def bound_states(v: Potential) -> int:
     """Number of strictly negative eigenvalues of -d^2/dx^2 + V.
 
-    Counted in the Dirichlet box of half-width max(60, 6a) at spacing
-    0.005, then recomputed with doubled resolution and with a doubled box;
-    any disagreement raises InconclusiveError rather than guessing.
+    Sturm oscillation theorem: for compactly supported V that number is the
+    number of zeros, on the whole line, of the zero-energy solution with
+    (psi, psi') = (1, 0) left of the support.  The zeros are counted
+    exactly on the slab model of V that the transfer sweep integrates
+    (:func:`_slab_runs`), one scalar pass over its runs.  Across a run of
+    V < 0 the Prufer angle atan2(q psi, psi') advances by q w, so the run
+    holds floor(q w / pi) zeros in its whole half-turns and at most one in
+    the rest of the angle, where psi changes sign; a run of V >= 0 holds at
+    most one zero, where psi changes sign.  Right of the support psi runs
+    on linearly and has one more zero exactly when psi psi' < 0, unless
+    |psi'| <= HALF_BOUND_TOL |psi|: that zero lies beyond 1 / HALF_BOUND_TOL,
+    a zero-energy half-bound state, which is not a bound state.
     """
-    half = max(60.0, 6.0 * v.support_radius)
-    n = int(2 * half / 0.005)
-    base = _dirichlet_negative_count(v, half, n)
-    finer = _dirichlet_negative_count(v, half, 2 * n)
-    wider = _dirichlet_negative_count(v, 2.0 * half, 2 * n)
-    if not (base == finer == wider):
-        raise InconclusiveError(
-            f"bound-state count unstable under refinement: "
-            f"{base}/{finer}/{wider}",
-            detail=(base, finer, wider),
-        )
-    return base
+    psi, dpsi = 1.0, 0.0
+    zeros = 0
+    for vm, width in zip(*(run.tolist() for run in _slab_runs(v, SLAB_STEP))):
+        if vm < 0.0:
+            q = math.sqrt(-vm)
+            c, s = math.cos(q * width), math.sin(q * width)
+            turns = math.floor(q * width / math.pi)
+            new, dpsi = c * psi + s / q * dpsi, c * dpsi - q * s * psi
+        else:
+            # the propagator divided by cosh(p w), then rescaled: psi may
+            # grow like exp(p w) across barriers, past the float range
+            p = math.sqrt(vm)
+            t = math.tanh(p * width) / p if p else width
+            turns = 0
+            new, dpsi = psi + t * dpsi, dpsi + vm * t * psi
+            norm = abs(new) + abs(dpsi)
+            new, dpsi = new / norm, dpsi / norm
+        # after its whole half-turns psi has the sign (-1)^turns sign(psi);
+        # one more zero lies in the rest of the run if the end sign differs
+        negative = (psi < 0.0) != (turns % 2 == 1)
+        if psi != 0.0 and (new == 0.0 or (new < 0.0) != negative):
+            turns += 1
+        zeros += turns
+        psi = new
+    if psi * dpsi < 0.0 and abs(dpsi) > HALF_BOUND_TOL * abs(psi):
+        zeros += 1
+    return zeros
 
 
 # ---------------------------------------------------------------------------
@@ -409,18 +384,24 @@ def phase_winding(curve: ScatteringCurve) -> float:
     return delta_inf - delta0
 
 
-def resonance_detect(v: Potential):
+def resonance_detect(curve: ScatteringCurve):
     """Zero-energy resonance flag from the transmission threshold behaviour.
 
     Returns (M_R0, evidence) with evidence |t(0)|, extrapolated quadratically
-    in k from eight samples on k in [1e-3, 1e-2].  Generic potentials have
-    t(k) -> 0 linearly, a half-bound state keeps |t(0)| > 0.  Evidence
-    inside the guard band [0.02, 0.1) is refused as inconclusive rather
-    than classified.
+    in k from the samples of the curve on k in [1e-3, 1e-2] (about 50 on
+    K_GRID).  Generic potentials have t(k) -> 0 linearly, a half-bound
+    state keeps |t(0)| > 0.  Evidence inside the guard band [0.02, 0.1) is
+    refused as inconclusive rather than classified.
     """
-    k = np.geomspace(0.01, 0.001, 8)
-    mod_t = np.abs(1.0 / transfer_matrices(v, k)[:, 1, 1])
-    design = np.vander(k, 3)  # columns k^2, k, 1
+    k = curve.k_samples
+    head = (k >= 1e-3) & (k <= 1e-2)
+    if np.count_nonzero(head) < 3:
+        raise RangeError(
+            f"curve holds {np.count_nonzero(head)} samples on k in [1e-3, 1e-2]; "
+            "the threshold fit needs at least 3"
+        )
+    mod_t = np.abs(curve.s_matrices[head, 0, 0])
+    design = np.vander(k[head], 3)  # columns k^2, k, 1
     coeffs, *_ = np.linalg.lstsq(design, mod_t, rcond=None)
     evidence = max(float(coeffs[-1]), 0.0)
     if evidence >= RESONANCE_THRESHOLD:
@@ -534,16 +515,17 @@ class LevinsonReport:
 def levinson_check(v: Potential) -> LevinsonReport:
     """Assemble the three independent quantities and their residual.
 
-    N comes from the Dirichlet eigenvalue count, the winding from the
-    scattering curve on K_GRID, and the resonance flag from threshold
-    transmission; the report is accepted when the residual stays below
-    0.05.  The curve is returned in the report, so that the corrected index
-    of the same well reads the same samples.
+    N comes from the zero-energy node count on the slab model of V, the
+    winding from the scattering curve on K_GRID, and the resonance flag from
+    the threshold transmission at the head of that curve; the report is
+    accepted when the residual stays below 0.05.  The curve is returned in
+    the report, so that the corrected index of the same well reads the same
+    samples.
     """
     curve = scattering_matrix(v)
     n = bound_states(v)
     winding = phase_winding(curve)
-    flag, evidence = resonance_detect(v)
+    flag, evidence = resonance_detect(curve)
     predicted = LEVINSON_SIGN * winding / (2.0 * np.pi) + 0.5 * (1 - flag)
     residual = abs(n - predicted)
     return LevinsonReport(

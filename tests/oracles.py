@@ -4,9 +4,10 @@ Each function here recomputes a quantity by a route structurally different
 from the library implementation: series/Pade matrix exponentials and the
 heat operator assembled from eigenmodes, RK4 ODE stepping, the
 slab-by-slab transfer sweep, analytic two-interface matching,
-transcendental root counting, the Sturm count over the whole Dirichlet
-box, Gauss-Legendre quadrature of the heat-trace
-s-integral over the full spectrum, QUADPACK's adaptive ``quad`` for the
+transcendental root counting, finite-difference Sturm counts of the
+negative Dirichlet eigenvalues in a box (the bound-state oracle),
+Gauss-Legendre quadrature of the heat-trace s-integral over the full
+spectrum, QUADPACK's adaptive ``quad`` for the
 closed-form pair index, scipy's ``brentq`` for the resonant depth,
 suspension traces from numpy's own LAPACK, dense matrices of shift-lattice
 band maps assembled entry by entry, the grid-space Dirac and bump matrices with their plane-wave forms
@@ -187,12 +188,76 @@ def square_well_bound_count(depth: float, half_width: float = 1.0) -> int:
     return count("even") + count("odd")
 
 
+def dirichlet_negative_count(v, half_width: float, n: int) -> int:
+    """Eigenvalues below zero of the Dirichlet finite-difference Hamiltonian.
+
+    Sturm-sequence inertia count of the tridiagonal matrix; O(n), no
+    eigenvectors.  Only the live sites, from the first to the last one where
+    V != 0, run through the pivot loop.  The two end runs of free sites are
+    eliminated in closed form from their outer ends: a free run of m sites
+    has the positive pivots (i + 1) / (i h^2), i = 1..m, so the left run
+    hands the first live site the previous pivot (m + 1) / (m h^2) and the
+    right run subtracts off^2 m h^2 / (m + 1) from the last live diagonal
+    entry.  By Sylvester's law of inertia the number of negative pivots does
+    not depend on the elimination order, and the free runs contribute none,
+    so the count is that of the full left-to-right sweep.
+    """
+    h = 2.0 * half_width / n
+    x = -half_width + h * np.arange(1, n)
+    pot = np.asarray(v.evaluator(x), dtype=float)
+    live = np.flatnonzero(pot)
+    if len(live) == 0:
+        return 0
+    first, last = int(live[0]), int(live[-1])
+    h2 = h * h
+    diag = 2.0 / h2 + pot[first:last + 1]
+    off2 = (1.0 / h2) ** 2
+    right = len(pot) - 1 - last
+    if right:
+        diag[-1] -= off2 * right * h2 / (right + 1)
+    count = 0
+    # with no free sites on the left an infinite previous pivot makes the
+    # first pivot diag[0]; with Python floats a zero pivot would raise
+    # ZeroDivisionError without the tiny guard
+    q = (first + 1) / (first * h2) if first else math.inf
+    for d in memoryview(diag):
+        if q == 0.0:
+            q = 1e-300
+        q = d - off2 / q
+        if q < 0:
+            count += 1
+    return count
+
+
+def dirichlet_bound_states(v) -> int:
+    """Bound states from three finite-difference Sturm counts.
+
+    Counted in the Dirichlet box of half-width max(60, 6a) at spacing
+    0.005, then recomputed with doubled resolution and with a doubled box;
+    any disagreement raises InconclusiveError rather than guessing.  Levels
+    bound by almost nothing, just above a threshold depth, are decided by
+    the box and the spacing, and refused.
+    """
+    half = max(60.0, 6.0 * v.support_radius)
+    n = int(2 * half / 0.005)
+    base = dirichlet_negative_count(v, half, n)
+    finer = dirichlet_negative_count(v, half, 2 * n)
+    wider = dirichlet_negative_count(v, 2.0 * half, 2 * n)
+    if not (base == finer == wider):
+        raise InconclusiveError(
+            f"bound-state count unstable under refinement: "
+            f"{base}/{finer}/{wider}",
+            detail=(base, finer, wider),
+        )
+    return base
+
+
 def dirichlet_negative_count_full(v, half_width: float, n: int) -> int:
     """Negative eigenvalues of the Dirichlet Hamiltonian, pivoting every site.
 
-    The Sturm sweep the library ran before it eliminated the free end runs
-    in closed form: one left-to-right LDL^T pivot per interior site of the
-    box, V == 0 or not.
+    The Sturm sweep of :func:`dirichlet_negative_count` before it eliminates
+    the free end runs in closed form: one left-to-right LDL^T pivot per
+    interior site of the box, V == 0 or not.
     """
     h = 2.0 * half_width / n
     x = -half_width + h * np.arange(1, n)

@@ -301,6 +301,40 @@ class TestExitCodes:
         assert record.results["n_bound"] == 7
         assert record.residuals["levinson"] <= 1e-5
 
+    def test_levinson_just_above_threshold_exits_0(self):
+        # 2 sqrt(2.5) / pi = 1.007: the second level is bound by almost nothing
+        record, code = run(parse_config(["levinson", "--well-depth", "2.5"]))
+        assert code == 0
+        assert record.results["n_bound"] == 2
+        assert record.results["resonance_flag"] == 0
+
+    def test_level_below_curve_resolution_exits_1(self):
+        # 4e-5 above the resonance the second level decays like exp(-1e-4 x):
+        # counted, but its phase step lies at k ~ 1e-4, below the curve's
+        # k >= 1e-3, so the threshold reads as a half-bound state and the
+        # balance misses the level by one
+        record, code = run(parse_config(["levinson", "--well-depth", "2.4675"]))
+        assert code == 1
+        assert (record.results["n_bound"], record.results["resonance_flag"]) == (2, 1)
+        assert record.residuals["levinson"] > 0.9
+
+    def test_scan_narrow_well_exits_0(self):
+        # half-width 0.5: depth 10 lies just above the resonance pi^2
+        record, code = run(parse_config(["scan", "--well-width", "0.5"]))
+        assert code == 0
+        rows = record.curves["scan"]["rows"]
+        assert [row[1] for row in rows] == [1, 1, 1, 1, 2, 2, 1]  # n_bound
+        assert record.residuals["worst_levinson"] <= 1e-4
+
+    def test_scan_resonant_row_is_half_bound(self):
+        # at the located resonant depth the second level is a half-bound
+        # state: counted by the resonance flag, not as a bound state
+        record, code = run(parse_config(["scan", "--depths", "2"]))
+        assert code == 0
+        depth, n_bound, _, flag = record.curves["scan"]["rows"][-1][:4]
+        assert depth == record.results["resonant_depth"]
+        assert (n_bound, flag) == (1, 1)
+
     def test_scan_to_depth_90_exits_0(self):
         record, code = run(parse_config(["scan", "--depths", "0.3,3,40,90"]))
         assert code == 0

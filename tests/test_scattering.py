@@ -1,5 +1,7 @@
 """Scattering checks: transfer matrices, bound states, phase balance, sigma."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,7 +15,6 @@ from opindex.errors import (
 )
 from opindex.scattering import (
     Potential,
-    _dirichlet_negative_count,
     bound_states,
     build_sigma,
     corrected_index,
@@ -28,6 +29,8 @@ from opindex.scattering import (
 )
 
 from oracles import (
+    dirichlet_bound_states,
+    dirichlet_negative_count,
     dirichlet_negative_count_full,
     resonant_depth_brentq,
     rk4_transfer,
@@ -44,12 +47,30 @@ TWO_WELLS = Potential(
     + np.where((x > 1.0) & (x < 2.0), -8.0, 0.0),
     support_radius=3.0,
 )
+# depth 8 on 1.4 < |x| < 2.6: the fourth level is bound by almost nothing,
+# so the zero-energy solution has its last zero near x = 38
+WELL_PAIR = Potential(
+    evaluator=lambda x: np.where(np.abs(np.abs(np.asarray(x, dtype=float)) - 2.0) < 0.6,
+                                 -8.0, 0.0),
+    support_radius=2.6,
+)
+
+
+def gaussian_well(depth):
+    return Potential(
+        evaluator=lambda x: np.where(
+            np.abs(x) < 8.0, -depth * np.exp(-np.asarray(x, dtype=float) ** 2), 0.0),
+        support_radius=8.0,
+    )
 
 
 class TestTransferMatrix:
     def test_free_potential_identity(self):
         t = transfer_matrices(Potential.free(), np.array([1.0]))[0]
         assert np.max(np.abs(t - np.eye(2))) <= 1e-12
+        # every 40th sample of the curve grid, from k = 1e-3 to 2000
+        t = transfer_matrices(Potential.free(), scattering.K_GRID[::40])
+        assert np.max(np.abs(t - np.eye(2))) <= 1e-6
 
     def test_determinant_one(self):
         t = transfer_matrices(WELL, np.array([1.0]))[0]
@@ -178,6 +199,8 @@ class TestMergedSweep:
 
 
 class TestSturmCount:
+    """The finite-difference Dirichlet count the bound-state oracle runs on."""
+
     @staticmethod
     def dense_negative_count(v, half_width, n):
         h = 2.0 * half_width / n
@@ -194,7 +217,7 @@ class TestSturmCount:
         [(0.5, 5.0, 64), (2.0, 5.0, 100), (25.0, 6.0, 160), (60.0, 5.0, 256)]
     ] + [pytest.param(TWO_WELLS, 16.0, 320, id="two-wells-16.0-320")])
     def test_matches_dense_eigvalsh(self, well, half_width, n):
-        count = _dirichlet_negative_count(well, half_width, n)
+        count = dirichlet_negative_count(well, half_width, n)
         assert count == self.dense_negative_count(well, half_width, n)
         assert count >= 1
 
@@ -205,7 +228,7 @@ class TestSturmCount:
             evaluator=lambda x: np.where(np.abs(np.asarray(x)) < 3.5, -1.0, 0.0),
             support_radius=3.5,
         )
-        count = _dirichlet_negative_count(flat, 4.0, 8)
+        count = dirichlet_negative_count(flat, 4.0, 8)
         assert count == self.dense_negative_count(flat, 4.0, 8) == 2
 
     @pytest.mark.parametrize("half_width, n", [
@@ -223,7 +246,7 @@ class TestSturmCount:
         ))
         for depth in depths:
             well = Potential.square_well(float(depth), 1.0)
-            assert _dirichlet_negative_count(well, half_width, n) == \
+            assert dirichlet_negative_count(well, half_width, n) == \
                 dirichlet_negative_count_full(well, half_width, n), depth
 
     @pytest.mark.parametrize("half_width, n", [
@@ -234,11 +257,11 @@ class TestSturmCount:
         # elimination constants, which a long run would hide, moves counts here
         for depth in np.arange(0.01, 400.0, 0.1):
             well = Potential.square_well(float(depth), 1.0)
-            assert _dirichlet_negative_count(well, half_width, n) == \
+            assert dirichlet_negative_count(well, half_width, n) == \
                 dirichlet_negative_count_full(well, half_width, n), depth
 
     def test_free_potential_counts_zero(self):
-        assert _dirichlet_negative_count(Potential.free(), 60.0, 24000) == 0
+        assert dirichlet_negative_count(Potential.free(), 60.0, 24000) == 0
 
     @pytest.mark.parametrize("well, half_width, n, first, last", [
         # live only at the first and last interior sites, x = -2.9 and 2.9
@@ -255,7 +278,7 @@ class TestSturmCount:
         h = 2.0 * half_width / n
         live = np.flatnonzero(well.evaluator(-half_width + h * np.arange(1, n)))
         assert (live[0], live[-1]) == (first, last)
-        count = _dirichlet_negative_count(well, half_width, n)
+        count = dirichlet_negative_count(well, half_width, n)
         assert count == dirichlet_negative_count_full(well, half_width, n)
         assert count == self.dense_negative_count(well, half_width, n)
         assert count >= 1
@@ -263,8 +286,8 @@ class TestSturmCount:
     def test_count_does_not_depend_on_the_box(self):
         for depth in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0):
             well = Potential.square_well(depth, 1.0)
-            assert _dirichlet_negative_count(well, 60.0, 24000) == \
-                _dirichlet_negative_count(well, 600.0, 240000) == \
+            assert dirichlet_negative_count(well, 60.0, 24000) == \
+                dirichlet_negative_count(well, 600.0, 240000) == \
                 square_well_bound_count(depth, 1.0), depth
 
 
@@ -312,6 +335,96 @@ class TestBoundStates:
                   for d in (0.5, 2.0, 5.0, 10.0, 25.0)]
         assert counts == sorted(counts)
 
+    def test_square_well_grid_matches_closed_form_and_dirichlet_oracle(self):
+        # a new level appears each time 2 a sqrt(D) passes a multiple of pi;
+        # the Dirichlet box must be wide: at half-width 60 the finite-difference
+        # count reads 1 for a = 1.5, D = 1.11, where 2 a sqrt(D) / pi = 1.006
+        for half_width in (0.5, 1.0, 1.5, 2.0):
+            for depth in np.geomspace(0.3, 400.0, 12):
+                well = Potential.square_well(float(depth), half_width)
+                count = bound_states(well)
+                assert count == math.ceil(2.0 * half_width * math.sqrt(depth) / math.pi)
+                assert count == dirichlet_negative_count(well, 600.0, 240000), \
+                    (half_width, depth)
+
+    @pytest.mark.parametrize("well, expected", [
+        pytest.param(TWO_WELLS, 3, id="two-wells"),
+        pytest.param(gaussian_well(0.5), 1, id="gaussian-0.5"),
+        pytest.param(gaussian_well(3.0), 2, id="gaussian-3"),
+        pytest.param(gaussian_well(12.0), 3, id="gaussian-12"),
+        pytest.param(gaussian_well(40.0), 5, id="gaussian-40"),
+    ])
+    def test_matches_three_way_dirichlet_oracle(self, well, expected):
+        assert bound_states(well) == dirichlet_bound_states(well) == expected
+
+    def test_repulsive_runs(self):
+        # V >= 0 runs hold at most one sign change each; a barrier of
+        # height 1e4 and width 20 grows psi by exp(2000), past the float
+        # range, between two depth-30 wells of width 2 with 4 levels each
+        def barrier_well(x):
+            x = np.asarray(x, dtype=float)
+            return np.where(np.abs(x) < 1.0, np.where(x < -0.2, -12.0, 5.0), 0.0)
+
+        def wide_barrier(x):
+            x = np.asarray(x, dtype=float)
+            tilted = 1e4 * (1.0 + 1e-3 * x)  # no two midpoints share a value
+            return np.where(np.abs(x) < 12.0, np.where(np.abs(x) < 10.0, tilted, -30.0), 0.0)
+
+        for evaluator, support, expected in ((barrier_well, 1.0, 1), (wide_barrier, 12.0, 8)):
+            well = Potential(evaluator=evaluator, support_radius=support)
+            assert bound_states(well) == dirichlet_bound_states(well) == expected
+        barrier = Potential(evaluator=lambda x: 3.0 * WELL.evaluator(x) ** 2,
+                            support_radius=1.0)
+        assert bound_states(barrier) == 0
+
+    def test_level_beyond_the_oracle_box(self):
+        # the zero-energy solution's last zero lies near x = 38: the
+        # finite-difference count changes with the box, so the three-way
+        # oracle refuses the well, and settles on 4 only in wide boxes
+        assert bound_states(WELL_PAIR) == 4
+        with pytest.raises(InconclusiveError) as excinfo:
+            dirichlet_bound_states(WELL_PAIR)
+        assert excinfo.value.detail == (3, 3, 4)
+        assert dirichlet_negative_count(WELL_PAIR, 2000.0, 800000) == 4
+        assert dirichlet_negative_count(WELL_PAIR, 2000.0, 1600000) == 4
+
+    @pytest.mark.parametrize("half_width", [0.5, 1.0, 1.5, 2.0])
+    def test_half_bound_state_at_resonant_depth(self, half_width):
+        # at the resonant depth the new level sits at threshold, a
+        # half-bound state, not counted; from one ulp above the root on the
+        # zero-energy solution ends with psi psi' < 0 at |psi'/psi| of
+        # rounding size, and HALF_BOUND_TOL decides; 1e-12 deeper it is bound
+        root = find_resonant_depth(half_width)
+        for direction in (-math.inf, math.inf):
+            depth = root
+            for _ in range(8):
+                assert bound_states(Potential.square_well(depth, half_width)) == 1
+                depth = math.nextafter(depth, direction)
+        assert bound_states(Potential.square_well(root * (1.0 + 1e-12), half_width)) == 2
+
+    @pytest.mark.parametrize("depth, half_width", [(2.5, 1.0), (10.0, 0.5)])
+    def test_just_above_threshold(self, depth, half_width):
+        # the three-way Dirichlet oracle refuses these two wells
+        # (1/1/2 and 1/2/1): the second level is bound by almost nothing
+        well = Potential.square_well(depth, half_width)
+        assert bound_states(well) == 2
+        with pytest.raises(InconclusiveError):
+            dirichlet_bound_states(well)
+
+    def test_samples_v_at_slab_midpoints_only(self):
+        seen = []
+
+        def spy(x):
+            seen.append(np.array(x, dtype=float, copy=True))
+            return WELL.evaluator(x)
+
+        well = Potential(evaluator=spy, support_radius=1.0)
+        seen.clear()  # the support probe of the constructor
+        assert bound_states(well) == 1
+        mids = -1.0 + 0.01 * (np.arange(200) + 0.5)
+        assert len(seen) == 1
+        assert np.array_equal(seen[0], mids)
+
 
 class TestPhaseWinding:
     def test_free_curve(self):
@@ -332,19 +445,34 @@ class TestPhaseWinding:
 class TestResonanceDetection:
     def test_free_line_is_resonant(self):
         # t == 1 identically: the flat threshold is a half-bound state
-        flag, evidence = resonance_detect(Potential.free())
+        flag, evidence = resonance_detect(scattering_matrix(Potential.free()))
         assert flag == 1
         assert evidence == pytest.approx(1.0, abs=1e-6)
 
-    def test_generic_well_not_resonant(self):
-        flag, evidence = resonance_detect(WELL)
+    def test_generic_well_not_resonant(self, scan_curves):
+        flag, evidence = resonance_detect(scan_curves[2.0])
         assert flag == 0
         assert evidence <= 1e-3
 
-    def test_tuned_well_resonant(self, resonant_well):
-        flag, evidence = resonance_detect(resonant_well)
+    def test_tuned_well_resonant(self, resonant_curve):
+        flag, evidence = resonance_detect(resonant_curve)
         assert flag == 1
         assert evidence >= 0.99
+
+    def test_reads_the_curve_head(self, resonant_curve, monkeypatch):
+        # about 50 samples of K_GRID lie on k in [1e-3, 1e-2]; the fit runs
+        # no sweep of its own
+        def no_transfer(*args, **kwargs):
+            raise AssertionError("resonance_detect ran a transfer sweep")
+
+        monkeypatch.setattr(scattering, "transfer_matrices", no_transfer)
+        assert np.count_nonzero(resonant_curve.k_samples <= 1e-2) == 51
+        assert resonance_detect(resonant_curve)[0] == 1
+
+    def test_curve_without_threshold_samples_rejected(self):
+        curve = scattering_matrix(WELL, np.geomspace(2e-2, 20.0, 48))
+        with pytest.raises(RangeError):
+            resonance_detect(curve)
 
     def test_guard_band_is_inconclusive(self):
         # detune until the extrapolated threshold transmission lands inside
@@ -354,9 +482,9 @@ class TestResonanceDetection:
         flagged = False
         for _ in range(40):
             mid = 0.5 * (lo + hi)
-            well = Potential.square_well(base - mid, 1.0)
+            curve = scattering_matrix(Potential.square_well(base - mid, 1.0))
             try:
-                flag, _ = resonance_detect(well)
+                flag, _ = resonance_detect(curve)
             except InconclusiveError:
                 flagged = True
                 break
@@ -421,6 +549,22 @@ class TestLevinson:
         assert resonant.resonance_flag == 1
         assert resonant.accepted
         assert resonant.n_bound == 1
+
+    def test_one_transfer_sweep_per_well(self, monkeypatch):
+        # the curve is the only sweep: the bound-state count runs on the
+        # slab runs at k = 0, the resonance flag on the curve head
+        sweep = scattering.transfer_matrices
+        calls = []
+
+        def spy(v, k, *args, **kwargs):
+            calls.append(len(k))
+            return sweep(v, k, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "transfer_matrices", spy)
+        report = levinson_check(WELL)
+        assert len(report.curve.k_samples) == len(scattering.K_GRID)  # unrefined
+        assert calls == [len(scattering.K_GRID)]
+        assert report.accepted and report.n_bound == 1
 
     def test_report_carries_convention(self, levinson_reports):
         reports, _, _ = levinson_reports
