@@ -17,6 +17,13 @@ their own OpenBLAS with its own thread pool; interleaving solves from one with
 work from the other is markedly slower on a small host than keeping every
 solve in one of them.
 
+This is the one module that uses scipy, and it imports the piece it needs
+inside the kernel that calls it, not at import: loading ``scipy.linalg``
+took about 0.2 of the 0.3 s of ``import opindex.cli``, and the Toeplitz and
+scattering commands never solve an eigenproblem.  Each call looks its
+routine up on the scipy module, so a patched ``scipy.linalg.eigh`` or
+``scipy.linalg.lapack`` routine takes effect.
+
 A heat weight exp(-t lambda^2) at large t sees only the eigenpairs inside a
 value window.  ``evr`` runs MRRR only for the whole spectrum; asked for a
 window it falls back to bisection plus inverse iteration, which at 512 real
@@ -30,12 +37,14 @@ No singular value decomposition is needed.  The suspension D is
 time-reversal symmetric, D^H = P conj(D) P with P the reflection of the time
 circle, so its left singular vectors are P conj(V) for the eigenvectors V of
 the Gram matrix D^H D (a Takagi factorization of the complex-symmetric P D;
-Horn and Johnson, Matrix Analysis, 2nd ed., section 4.4).  Its heat weights
-exp(-t s^2) see only lambda = s^2, which ``evr`` returns to an absolute error
-of about eps ||D||^2, the order ``gesdd`` gives for s^2, so forming the Gram
-matrix costs no accuracy there.  On 2304 complex rows (a 2-core host) the
-product and its ``evr`` solve took 7.2-7.5 s against 13.6 s for ``gesdd``,
-and held 2.1 dense copies of D besides D itself against 5.5.
+Horn and Johnson, Matrix Analysis, 2nd ed., section 4.4), formed by BLAS
+``zherk`` in ``gram_lower`` so that the product and the solve share scipy's
+thread pool.  Its heat weights exp(-t s^2) see only lambda = s^2, which
+``evr`` returns to an absolute error of about eps ||D||^2, the order
+``gesdd`` gives for s^2, so forming the Gram matrix costs no accuracy
+there.  On 2304 complex rows (a 2-core host) the product and its ``evr``
+solve took 7.2-7.5 s against 13.6 s for ``gesdd``, and held 2.1 dense
+copies of D besides D itself against 5.5.
 
 The one quadrature, ``line_integral``, integrates over the whole real line
 on fixed nodes: Gauss-Legendre on (-1, 1) mapped by x = tan(pi u / 2), so
@@ -52,9 +61,7 @@ from functools import lru_cache
 from typing import Callable, NamedTuple
 
 import numpy as np
-import scipy.linalg
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg import lapack
 
 from .errors import EigensolverError, ShapeError
 
@@ -102,6 +109,8 @@ def herm_eig(m, within: float | None = None, overwrite: bool = False) -> EigenSy
     """
     a = as_square_matrix(m)
     if within is None:
+        import scipy.linalg
+
         try:
             values, vectors = scipy.linalg.eigh(
                 a, driver="evr", overwrite_a=overwrite, check_finite=False
@@ -128,6 +137,8 @@ def _window_eig(a: np.ndarray, within: float) -> tuple[np.ndarray, np.ndarray]:
     applied to just those columns (?ormqr/?unmqr: with lower=1 the ?sytrd
     reflectors sit below the first subdiagonal in QR layout).
     """
+    from scipy.linalg import lapack
+
     n = a.shape[0]
     if n == 1:  # the wrappers need a nonempty off-diagonal
         values = a.real.diagonal()
@@ -164,6 +175,8 @@ def _window_eig(a: np.ndarray, within: float) -> tuple[np.ndarray, np.ndarray]:
 
 def herm_eigvals(m) -> np.ndarray:
     """Ascending eigenvalues of a Hermitian matrix, without eigenvectors."""
+    import scipy.linalg
+
     a = as_square_matrix(m)
     try:
         return scipy.linalg.eigh(
@@ -171,6 +184,20 @@ def herm_eigvals(m) -> np.ndarray:
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
+
+
+def gram_lower(d: np.ndarray) -> np.ndarray:
+    """Lower triangle of conj(D^H D) for a complex D, by BLAS ``zherk``.
+
+    ``zherk`` is handed D^T, a Fortran view of a C-ordered D, and writes
+    D^T conj(D) = conj(D^H D) into a fresh Fortran array; the strict upper
+    triangle is left zero.  Its eigenvalues and the squared moduli of its
+    eigenvectors are those of D^H D, and ``herm_eig`` reads only the lower
+    triangle, so the result can go to ``herm_eig(..., overwrite=True)``.
+    """
+    from scipy.linalg import blas
+
+    return blas.zherk(1.0, d.T, lower=1)
 
 
 # node counts of the coarse and the fine line rule

@@ -614,9 +614,12 @@ class SigmaFactor:
     ``branch`` is one of "trivial", "antidiagonal-limit" (det = -1 limits,
     which are +-diag(1, -1) in the parity frame) and "general-unitary"
     (det = +1, built from the eigenphase +-theta of the limit).  The
-    ``profile`` is the Hermitian derivative bump Phi_sigma with
+    ``profile`` is the Hermitian derivative bump
+    Phi_sigma(lambda) = frame diag(weights) frame^H / (1 + lambda^2) with
     sigma(lambda) = exp(-i Integral_lambda^inf Phi_sigma), whose scaled
     line integral is the closed-form index of the pair (D, sigma D sigma*).
+    ``frame`` is unitary and ``weights`` real, so tr Phi_sigma is
+    sum(weights) / (1 + lambda^2).
 
     ``evaluator`` and ``profile`` take lambda of any shape and return the
     matching stack of 2x2 matrices: shape (m,) gives (m, 2, 2), and a scalar
@@ -626,8 +629,15 @@ class SigmaFactor:
 
     branch: str
     evaluator: Callable[[float | np.ndarray], np.ndarray]
-    profile: Callable[[float | np.ndarray], np.ndarray]
+    frame: np.ndarray
+    weights: np.ndarray
     target_limit: np.ndarray
+
+    def profile(self, lam) -> np.ndarray:
+        """Phi_sigma(lambda), complex Hermitian."""
+        lam = np.asarray(lam, dtype=float)
+        core = self.weights / (1.0 + lam * lam)[..., None]
+        return np.einsum("ia,...a,ja->...ij", self.frame, core, self.frame.conj())
 
 
 def _eye_stack(lam) -> np.ndarray:
@@ -653,7 +663,8 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
         return SigmaFactor(
             branch="trivial",
             evaluator=_eye_stack,
-            profile=lambda lam: np.zeros(np.shape(lam) + (2, 2)),
+            frame=np.eye(2, dtype=complex),
+            weights=np.zeros(2),
             target_limit=np.eye(2, dtype=complex),
         )
 
@@ -673,15 +684,11 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
             out[..., slot, slot] = np.exp(1j * (np.arctan(lam) - np.pi / 2))
             return out
 
-        def profile(lam, slot=hot):
-            out = np.zeros(np.shape(lam) + (2, 2))
-            out[..., slot, slot] = 1.0 / (1.0 + lam * lam)
-            return out
-
         return SigmaFactor(
             branch="antidiagonal-limit",
             evaluator=evaluator,
-            profile=profile,
+            frame=np.eye(2, dtype=complex),
+            weights=np.eye(2)[hot],
             target_limit=target,
         )
 
@@ -699,15 +706,11 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
             core = np.exp(np.array([1j, -1j]) * th / np.pi * g[..., None])
             return np.einsum("ia,...a,ja->...ij", p, core, p.conj())
 
-        def profile(lam, p=vectors, th=theta):
-            lam = np.asarray(lam, dtype=float)
-            core = np.array([th / np.pi, -th / np.pi]) / (1.0 + lam * lam)[..., None]
-            return np.einsum("ia,...a,ja->...ij", p, core, p.conj()).real
-
         sigma = SigmaFactor(
             branch="general-unitary",
             evaluator=evaluator,
-            profile=profile,
+            frame=vectors,
+            weights=np.array([theta / np.pi, -theta / np.pi]),
             target_limit=u.copy(),
         )
         check = sigma.evaluator(-1e9)
@@ -726,14 +729,14 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
 def witten_index_sigma(sigma: SigmaFactor) -> float:
     """Closed-form index of the pair (D, sigma D sigma*).
 
-    ``line_integral`` of tr Phi_sigma / (2 pi) over the line; the result
-    must land within 1e-3 of {0, 1/2} or the construction is inconsistent.
+    ``line_integral`` of tr Phi_sigma / (2 pi) over the line, the trace
+    taken from the eigen-frame weights: on the general branch they cancel
+    exactly, where the trace of the rotated matrix would read rounding
+    noise.  The result must land within 1e-3 of {0, 1/2} or the
+    construction is inconsistent.
     """
-    if sigma.branch == "trivial":
-        return 0.0
-    value, _ = line_integral(
-        lambda lam: np.trace(sigma.profile(lam), axis1=-2, axis2=-1).real
-    )
+    total = float(sigma.weights.sum())
+    value, _ = line_integral(lambda lam: total / (1.0 + lam * lam))
     value /= 2.0 * np.pi
     nearest = 0.0 if abs(value) < abs(value - 0.5) else 0.5
     if abs(value - nearest) > 1e-3:

@@ -64,6 +64,9 @@ eps ||D||^2 absolute, as an SVD would; forming the Gram matrix squares the
 condition number of the singular values, not of the weights.  Inputs
 without the symmetry (a theta profile that is not reflection-even, a bump
 that is not K-symmetric) are refused.
+
+The dense kernels, the Gram product of the suspension (``gram_lower``)
+among them, come from ``linalg``, the one module that calls scipy.
 """
 
 from __future__ import annotations
@@ -76,7 +79,6 @@ import numpy as np
 from numpy.fft import fft, ifft
 from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial.legendre import leggauss
-from scipy.linalg.blas import zherk
 
 from .constants import (
     CLOSED_FORM_ABS_TOL,
@@ -93,7 +95,7 @@ from .constants import (
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
-from .linalg import herm_eig, herm_eigvals, line_integral
+from .linalg import gram_lower, herm_eig, herm_eigvals, line_integral
 
 # the error function, elementwise on arrays; math.erf keeps scipy.special,
 # and the start-up time it costs, off the import path
@@ -574,15 +576,14 @@ class SuspensionSpectrum:
 def suspension_spectrum(d: SuspensionOperator) -> SuspensionSpectrum:
     """One Hermitian eigensolve serves both heat generators.
 
-    The Gram matrix is formed by ``zherk`` in scipy's BLAS, so the product
-    and the solve share one thread pool.  Given D^T, a Fortran view of D, it
-    writes the lower triangle of D^T conj(D) = conj(D^H D), whose eigenvalues
-    and squared moduli |V_ij|^2 are those of D^H D; the solve overwrites it.
+    ``gram_lower`` forms the lower triangle of conj(D^H D) in scipy's BLAS,
+    so the product and the solve share one thread pool; its eigenvalues and
+    squared moduli |V_ij|^2 are those of D^H D, and the solve overwrites it.
     """
     n_t = d.t_grid.points
     window = d.window_mask.reshape(n_t, -1)
     delta = (window.astype(float) - window[_reflection(n_t)]).ravel()
-    values, vectors = herm_eig(zherk(1.0, d.matrix.T, lower=1), overwrite=True)
+    values, vectors = herm_eig(gram_lower(d.matrix), overwrite=True)
     # sum_i delta_i |V_ij|^2 in numpy's own loop, without forming |V|^2:
     # rows of V^T, a C-ordered view, read as (re, im) pairs
     pairs = vectors.T.view(float).reshape(len(values), -1, 2)

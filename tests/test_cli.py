@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 
 import opindex
-from opindex import linalg, scattering, toeplitz, witten
+from opindex import scattering, toeplitz, witten
 from opindex.cli import COMMANDS, ResultRecord, main, parse_config, run
 
 
@@ -58,18 +58,51 @@ def test_tracer_finds_every_wrapped_name():
     assert "scattering.scattering_matrix.refine_rounds" in tracer.stats
 
 
+def _imports_scipy(node) -> bool:
+    if isinstance(node, ast.Import):
+        return any(alias.name.split(".")[0] == "scipy" for alias in node.names)
+    return isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "scipy"
+
+
 def test_import_loads_no_heavy_scipy_subpackage():
-    # every command pays for what `import opindex.cli` loads; of scipy the
-    # library needs only scipy.linalg
+    # every command pays for what `import opindex.cli` loads, so no scipy
+    # subpackage is on the import path; scipy.linalg is loaded by the first
+    # eigensolve, which only the heat-trace and suspension commands make
     src = Path(opindex.__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(src), os.environ.get("PYTHONPATH", "")])}
-    done = subprocess.run(
-        [sys.executable, "-c", "import sys, opindex.cli; print(*sys.modules)"],
-        env=env, capture_output=True, text=True, check=True,
-    )
-    heavy = {"scipy.integrate", "scipy.optimize", "scipy.fft", "scipy.special"}
-    assert sorted(heavy & set(done.stdout.split())) == []
+    heavy = {"scipy.linalg", "scipy.integrate", "scipy.optimize", "scipy.fft",
+             "scipy.special"}
+
+    def loaded(runs):
+        # one fresh interpreter: run each argv through main, then list modules
+        probe = (
+            "import os, sys\n"
+            "from opindex.cli import main\n"
+            f"codes = [main(argv + ['--out', os.devnull]) for argv in {runs!r}]\n"
+            "print(*codes)\n"
+            "print(*sys.modules)\n"
+        )
+        done = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, check=True)
+        codes, modules = done.stdout.splitlines()
+        assert codes.split() == ["0"] * len(runs)
+        return heavy & set(modules.split())
+
+    assert sorted(loaded([])) == []
+    levinson_side = [["toeplitz-example"], ["toeplitz-winding"], ["levinson"],
+                     ["sigma-index"], ["corrected-index"], ["scan"]]
+    assert sorted(loaded(levinson_side)) == []
+    assert sorted(loaded([["compose-check", "--points", "256"]])) == ["scipy.linalg"]
+    # scipy is reached only through linalg.py, and there only inside the
+    # kernels that call LAPACK or BLAS
+    package = Path(opindex.__file__).parent
+    for module in package.glob("*.py"):
+        tree = ast.parse(module.read_text(encoding="utf-8"))
+        if module.name == "linalg.py":
+            assert not any(_imports_scipy(node) for node in tree.body)
+        else:
+            assert not any(_imports_scipy(node) for node in ast.walk(tree)), module.name
 
 
 class TestParsing:
@@ -510,7 +543,7 @@ class TestCommandResults:
         # (Kf)_j = conj f_{-j}, so every solve on these paths is real symmetric:
         # full spectra through eigh, windows through the tridiagonal reduction
         dtypes, reductions = [], []
-        eigh = linalg.scipy.linalg.eigh
+        eigh = scipy.linalg.eigh
 
         def spy(a, *args, **kwargs):
             dtypes.append(a.dtype)
@@ -525,7 +558,7 @@ class TestCommandResults:
 
             return reduce
 
-        monkeypatch.setattr(linalg.scipy.linalg, "eigh", spy)
+        monkeypatch.setattr(scipy.linalg, "eigh", spy)
         for name in ("dsytrd", "zhetrd"):
             monkeypatch.setattr(scipy.linalg.lapack, name, reduction_spy(name))
         record, code = run(parse_config([command, "--points", "256"]))

@@ -657,13 +657,24 @@ class TestSigmaFactor:
         assert witten_index_sigma(sigma) == pytest.approx(0.0, abs=1e-6)
 
     def test_derivative_consistency(self):
-        # sigma* dsigma/dlambda = i Phi_sigma links evaluator and profile
-        sigma = build_sigma(np.diag([1.0, -1.0]).astype(complex))
+        # sigma* dsigma/dlambda = i Phi_sigma links evaluator and profile,
+        # also for a det = +1 limit with complex eigenvectors: q is a random
+        # complex unitary (QR of a complex Gaussian matrix)
+        rng = np.random.default_rng(7)
+        q, _ = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))
+        limits = {
+            "antidiagonal-limit": np.diag([1.0, -1.0]).astype(complex),
+            "general-unitary": q @ np.diag([np.exp(-1j * np.pi / 3),
+                                            np.exp(1j * np.pi / 3)]) @ q.conj().T,
+        }
         lam, eps = 0.7, 1e-6
-        numeric = sigma.evaluator(lam).conj().T @ (
-            (sigma.evaluator(lam + eps) - sigma.evaluator(lam - eps)) / (2 * eps)
-        )
-        assert np.max(np.abs(numeric - 1j * sigma.profile(lam))) <= 1e-6
+        for branch, limit in limits.items():
+            sigma = build_sigma(limit)
+            assert sigma.branch == branch
+            numeric = sigma.evaluator(lam).conj().T @ (
+                (sigma.evaluator(lam + eps) - sigma.evaluator(lam - eps)) / (2 * eps)
+            )
+            assert np.max(np.abs(numeric - 1j * sigma.profile(lam))) <= 1e-6, branch
 
     @pytest.mark.parametrize("limit", [
         np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]),
@@ -726,7 +737,8 @@ class TestCorrectedIndex:
         reports, _ = corrected_reports
         report, sigma = reports["resonant"]
         assert sigma.branch == "general-unitary"
-        assert report.w_sigma == pytest.approx(0.0, abs=1e-6)
+        # the eigen-frame weights +-theta/pi cancel exactly
+        assert report.w_sigma == 0.0
         assert abs(report.w_scattering - round(report.w_scattering)) <= 0.05
 
     def test_mismatched_sigma_rejected(self, scan_curves):
