@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -187,11 +189,22 @@ _THETA_PROFILES = {
 }
 
 
+def _finite_float(text: str) -> float:
+    """A float flag's value; nan and +-inf are usage errors."""
+    try:
+        value = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from exc
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
 def _float_list(text: str) -> list[float]:
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}") from exc
+        values = [_finite_float(tok) for tok in text.split(",") if tok.strip()]
+    except argparse.ArgumentTypeError as exc:
+        raise argparse.ArgumentTypeError(f"bad numeric list {text!r}: {exc}") from exc
     if not values:
         raise argparse.ArgumentTypeError(f"empty numeric list {text!r}")
     return values
@@ -256,13 +269,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "plateau_window_hi, residual_plateau_vs_closed_form, "
                               "then curve columns heat_trace.t, heat_trace.rhs; "
                               "one row per schedule point.")
-    p.add_argument("--mu", type=float, default=1.0, help="bump scale")
-    p.add_argument("--half-width", type=float, default=40.0, help="grid half width")
+    p.add_argument("--mu", type=_finite_float, default=1.0, help="bump scale")
+    p.add_argument("--half-width", type=_finite_float, default=40.0,
+                   help="grid half width")
     p.add_argument("--points", type=int, default=1024, help="grid points")
-    p.add_argument("--t0", type=float, default=1.0, help="first heat time")
-    p.add_argument("--t-top", type=float, default=32.0, help="last heat time")
+    p.add_argument("--t0", type=_finite_float, default=1.0, help="first heat time")
+    p.add_argument("--t-top", type=_finite_float, default=32.0, help="last heat time")
     p.add_argument("--t-count", type=int, default=11, help="schedule length")
-    p.add_argument("--max-residual", type=float, default=0.02,
+    p.add_argument("--max-residual", type=_finite_float, default=0.02,
                    help="acceptance bound on |plateau - closed form|")
 
     p = sub.add_parser("ptf-check", parents=[common],
@@ -274,16 +288,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "heat time.")
     p.add_argument("--t", type=_float_list, default=[0.5, 1.0, 2.0],
                    help="comma list of heat times")
-    p.add_argument("--mu", type=float, default=1.0, help="bump scale")
+    p.add_argument("--mu", type=_finite_float, default=1.0, help="bump scale")
     p.add_argument("--nt", type=int, default=48, help="time-grid points")
     p.add_argument("--nx", type=int, default=48, help="space-grid points")
-    p.add_argument("--t-half-width", type=float, default=16.0)
-    p.add_argument("--x-half-width", type=float, default=12.0)
+    p.add_argument("--t-half-width", type=_finite_float, default=16.0)
+    p.add_argument("--x-half-width", type=_finite_float, default=12.0)
     p.add_argument("--theta-tags", type=_theta_tags, default="logistic,erf",
                    help="comma list of connection profiles to compare")
-    p.add_argument("--max-residual", type=float, default=0.1,
+    p.add_argument("--max-residual", type=_finite_float, default=0.1,
                    help="relative bound for |lhs - rhs|")
-    p.add_argument("--max-theta-spread", type=float, default=0.02,
+    p.add_argument("--max-theta-spread", type=_finite_float, default=0.02,
                    help="relative bound between connection profiles")
 
     p = sub.add_parser("compose-check", parents=[common],
@@ -294,13 +308,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "path_split_direct, path_split_sum, "
                               "residual_closed_form, residual_heat_estimate, "
                               "residual_path_splitting; one row.")
-    p.add_argument("--mu1", type=float, default=0.7)
-    p.add_argument("--mu2", type=float, default=0.9)
-    p.add_argument("--half-width", type=float, default=40.0)
+    p.add_argument("--mu1", type=_finite_float, default=0.7)
+    p.add_argument("--mu2", type=_finite_float, default=0.9)
+    p.add_argument("--half-width", type=_finite_float, default=40.0)
     p.add_argument("--points", type=int, default=1024)
-    p.add_argument("--path-t", type=float, default=2.0,
+    p.add_argument("--path-t", type=_finite_float, default=2.0,
                    help="heat time for the path-splitting residual")
-    p.add_argument("--max-residual", type=float, default=0.02)
+    p.add_argument("--max-residual", type=_finite_float, default=0.02)
 
     p = sub.add_parser("levinson", parents=[common],
                        help="bound states vs phase winding for a square well",
@@ -309,9 +323,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "convention, residual_levinson, then curve columns "
                               "scattering.k, scattering.det_re, scattering.det_im, "
                               "scattering.unitarity_residual; one row per k sample.")
-    p.add_argument("--well-depth", type=float, default=2.0)
-    p.add_argument("--well-width", type=float, default=1.0)
-    p.add_argument("--max-residual", type=float, default=LEVINSON_MAX_RESIDUAL)
+    p.add_argument("--well-depth", type=_finite_float, default=2.0)
+    p.add_argument("--well-width", type=_finite_float, default=1.0)
+    p.add_argument("--max-residual", type=_finite_float, default=LEVINSON_MAX_RESIDUAL)
 
     p = sub.add_parser("sigma-index", parents=[common],
                        help="closed-form pair index of a correction factor",
@@ -319,7 +333,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "residual_sigma_index; one row.")
     p.add_argument("--branch", choices=("trivial", "antidiagonal", "general"),
                    default="antidiagonal")
-    p.add_argument("--theta-angle", type=float, default=np.pi / 3,
+    p.add_argument("--theta-angle", type=_finite_float, default=np.pi / 3,
                    help="eigenphase for the general branch")
 
     p = sub.add_parser("corrected-index", parents=[common],
@@ -327,9 +341,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        epilog="CSV schema (frozen): fredholm_index, n_bound, "
                               "w_scattering, w_sigma, sigma_branch, "
                               "residual_decomposition; one row.")
-    p.add_argument("--well-depth", type=float, default=2.0)
-    p.add_argument("--well-width", type=float, default=1.0)
-    p.add_argument("--max-residual", type=float, default=0.05)
+    p.add_argument("--well-depth", type=_finite_float, default=2.0)
+    p.add_argument("--well-width", type=_finite_float, default=1.0)
+    p.add_argument("--max-residual", type=_finite_float, default=0.05)
 
     p = sub.add_parser("scan", parents=[common],
                        help="index identities across a square-well depth scan",
@@ -342,14 +356,15 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "scan.decomposition_residual; one row per well.")
     p.add_argument("--depths", type=_float_list,
                    default=[0.5, 1.0, 2.0, 5.0, 10.0, 25.0])
-    p.add_argument("--well-width", type=float, default=1.0)
-    p.add_argument("--max-residual", type=float, default=LEVINSON_MAX_RESIDUAL)
+    p.add_argument("--well-width", type=_finite_float, default=1.0)
+    p.add_argument("--max-residual", type=_finite_float, default=LEVINSON_MAX_RESIDUAL)
     # add_parser fills the subparsers action's choices: {command: subparser}
     return parser, sub.choices
 
 
 def _read_config_file(path: str) -> dict:
-    text = open(path, encoding="utf-8").read()
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     values: dict = {}
     stripped = text.lstrip()
     if stripped.startswith("{"):
@@ -368,17 +383,26 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+@functools.cache
+def _shared_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser tree of every parse without a config file, built once."""
+    return _build_parser()
+
+
 def parse_config(argv: list[str]) -> RunConfig:
     """Parse flags (and an optional config file) into a RunConfig.
 
     File values act as defaults; flags always win.  Unknown keys in the
-    file are rejected the same way unknown flags are.
+    file are rejected the same way unknown flags are.  A parse with a config
+    file builds a tree of its own, because ``set_defaults`` changes the
+    parser it is called on; every other parse shares one tree.
     """
-    parser, commands = _build_parser()
+    parser, commands = _shared_parser()
     args, _ = parser.parse_known_args(argv)
     if args.command is None:
         parser.error("a command is required")
     if args.config:
+        parser, commands = _build_parser()
         sub = commands[args.command]
         try:
             file_values = _read_config_file(args.config)
@@ -407,8 +431,10 @@ def parse_config(argv: list[str]) -> RunConfig:
             defaults[dest] = value
         sub.set_defaults(**defaults)
     args = parser.parse_args(argv)
+    # a list default is the parser's own object: copy it, so that no caller
+    # shares it with the next parse
     params = {
-        k: v for k, v in vars(args).items()
+        k: list(v) if isinstance(v, list) else v for k, v in vars(args).items()
         if k not in ("command", "config", "output_format", "out_path")
     }
     return RunConfig(

@@ -37,6 +37,14 @@ and that Born form holds once V / k^2 is small, which at k >= 1000 means
 V / k^2 <= 1e-4 for wells down to depth 100.  The log-energy line needs
 energies up to 1e3 besides, which any k_max above 32 covers.
 
+The sweep works on stacks of 2x2 matrices, one per k sample, and
+multiplies them entry by entry: the slab chain, the amplitude frames, the
+unitarity Gram matrix, the parity rotation and S sigma^*.  On a few hundred
+samples that costs a fraction of a 2x2-stack einsum, whose dispatch
+dominates at this size.  The straight lines the curve is read through (the
+head and tail of the winding, the threshold limit of S) are least-squares
+fits in closed form, centred on the mean abscissa.
+
 The resonant well depth is found at k = 0 itself, where no amplitude frame
 (no 1/(ik)) enters: a half-bound state is a zero-energy solution bounded at
 both ends, so constant outside the well, and it exists exactly when the
@@ -132,6 +140,41 @@ def _det2(m: np.ndarray) -> np.ndarray:
     return m[..., 0, 0] * m[..., 1, 1] - m[..., 0, 1] * m[..., 1, 0]
 
 
+def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products a b of stacks of 2x2 matrices, written out entry by entry.
+
+    Both factors have the same shape, or one of them is a single 2x2
+    matrix, broadcast over the other's stack.  Four sums of two products
+    cost a dozen elementwise passes, several times cheaper than a
+    2x2-stack einsum or matmul on a few hundred matrices.
+    """
+    a00, a01, a10, a11 = a[..., 0, 0], a[..., 0, 1], a[..., 1, 0], a[..., 1, 1]
+    b00, b01, b10, b11 = b[..., 0, 0], b[..., 0, 1], b[..., 1, 0], b[..., 1, 1]
+    shape = a.shape if a.ndim >= b.ndim else b.shape
+    out = np.empty(shape, dtype=np.result_type(a, b))
+    out[..., 0, 0] = a00 * b00 + a01 * b10
+    out[..., 0, 1] = a00 * b01 + a01 * b11
+    out[..., 1, 0] = a10 * b00 + a11 * b10
+    out[..., 1, 1] = a10 * b01 + a11 * b11
+    return out
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares line y = slope x + intercept, in closed form.
+
+    Centred on the mean of x, so the normal equations stay well
+    conditioned on a short run of nearby abscissae.  y may carry trailing
+    axes (one line per entry, fitted in one call) and may be complex.
+    Returns (slope, intercept), the order of np.polyfit(x, y, 1).
+    """
+    x_mean = x.mean()
+    dx = x - x_mean
+    y_mean = y.mean(axis=0)
+    flat = (y - y_mean).reshape(len(x), -1)
+    slope = (dx @ flat).reshape(y.shape[1:]) / (dx @ dx)
+    return slope, y_mean - slope * x_mean
+
+
 def _slab_propagators(q: np.ndarray, h: float) -> np.ndarray:
     """Exact (psi, psi') propagators over one slab of constant q^2, batched.
 
@@ -196,8 +239,8 @@ def _slab_chain(v: Potential, k2: np.ndarray, step: float) -> np.ndarray:
     chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
     for vm, width in zip(*_slab_runs(v, step)):
         q = np.sqrt(k2 - vm + 0j)
-        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, width), chain)
-    chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
+        chain = _mul2(_slab_propagators(q, width), chain)
+    chain = _mul2(_slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
 
     drift = np.abs(_det2(chain) - 1.0)
     worst = float(np.max(drift))
@@ -228,7 +271,7 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = SLAB_STEP) -> n
     a = v.support_radius
     frame_left, _ = _amplitude_frames(-a - 1.0, k)
     _, inv_right = _amplitude_frames(a + 1.0, k)
-    return np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
+    return _mul2(_mul2(inv_right, chain), frame_left)
 
 
 def _s_from_transfer(t_mats: np.ndarray) -> np.ndarray:
@@ -262,7 +305,7 @@ class ScatteringCurve:
 
 
 def _unitarity_residuals(s: np.ndarray) -> np.ndarray:
-    gram = np.einsum("kij,kil->kjl", s.conj(), s)
+    gram = _mul2(s.conj().swapaxes(-1, -2), s)
     return np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
 
 
@@ -372,16 +415,13 @@ def phase_winding(curve: ScatteringCurve) -> float:
     k = curve.k_samples
     phi = _unwrapped_args(curve.det())
     head = min(8, max(3, len(k) // 20))
-    coeff = np.polyfit(k[:head], phi[:head], 1)
-    delta0 = float(np.polyval(coeff, 0.0))
+    _, delta0 = _line_fit(k[:head], phi[:head])
     tail_mask = k >= 0.5 * k[-1]
     if np.count_nonzero(tail_mask) < 3:
         tail_mask = np.zeros_like(k, dtype=bool)
         tail_mask[-3:] = True
-    inv = 1.0 / k[tail_mask]
-    c1, c0 = np.polyfit(inv, phi[tail_mask], 1)
-    delta_inf = float(c0)
-    return delta_inf - delta0
+    _, delta_inf = _line_fit(1.0 / k[tail_mask], phi[tail_mask])
+    return float(delta_inf - delta0)
 
 
 def resonance_detect(curve: ScatteringCurve):
@@ -580,14 +620,11 @@ def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
             f"curve covers k in [{k[0]:.3g}, {k[-1]:.3g}]; need energy "
             "coverage [1e-3, 1e3]"
         )
-    s_par = np.einsum("ij,kjl,lm->kim", _HADAMARD, curve.s_matrices, _HADAMARD)
+    s_par = _mul2(_mul2(_HADAMARD, curve.s_matrices), _HADAMARD)
 
     # threshold limit: linear-in-k extrapolation from the curve head
     head = min(8, max(3, len(k) // 20))
-    limit = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            limit[i, j] = np.polyval(np.polyfit(k[:head], s_par[:head, i, j], 1), 0.0)
+    _, limit = _line_fit(k[:head], s_par[:head])
 
     s_plus = s_par[-1]
     if float(np.max(np.abs(s_plus - np.eye(2)))) > 0.05:
@@ -779,7 +816,7 @@ def corrected_index(lcurve: LambdaCurve, sigma: SigmaFactor) -> CorrectedIndexRe
             "sigma does not fit the threshold limit of the curve"
         )
     sig = sigma.evaluator(lcurve.lam)
-    m = np.einsum("kij,klj->kil", lcurve.s_matrices, sig.conj())
+    m = _mul2(lcurve.s_matrices, sig.conj().swapaxes(-1, -2))
     dets = _det2(m)
     # The sigma factor converges only like 1/lambda, so the determinant path
     # is continued analytically beyond the sampled window: out there S sits

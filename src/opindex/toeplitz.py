@@ -22,7 +22,12 @@ from typing import Callable
 
 import numpy as np
 
-from .constants import SUPPORT_TOL, SYMBOL_MIN_MODULUS, UNWRAP_MAX_STEP
+from .constants import (
+    DENSE_BUDGET_BYTES,
+    SUPPORT_TOL,
+    SYMBOL_MIN_MODULUS,
+    UNWRAP_MAX_STEP,
+)
 from .errors import (
     DomainError,
     InconclusiveError,
@@ -339,10 +344,24 @@ def paper_example_operators(n_interior: int) -> dict[str, ShiftLatticeOperator]:
     half-integer (antiperiodic) one.  Multiplication by exp(i theta/2) is
     the unit shift on the doubled lattice; the compression cutoff keeps
     sites >= 0, which is simultaneously the Hardy cutoff of both lattices.
+
+    The band storage is checked against DENSE_BUDGET_BYTES before the first
+    band is allocated: the index computation holds at most 8 complex bands
+    of 2 window + 1 sites at once (its tracemalloc peak is 8.0 bands at
+    n = 4096 to 65536), and a window over the budget is refused with a
+    DomainError.
     """
     if n_interior < 4:
         raise WindowSizingError("interior size must be at least 4")
     window = 3 * n_interior
+    bands = 8
+    need = bands * (2 * window + 1) * np.dtype(complex).itemsize
+    if need > DENSE_BUDGET_BYTES:
+        raise DomainError(
+            f"interior size {n_interior} needs {need / 2**30:.3g} GiB of bands "
+            f"({bands} x {2 * window + 1} complex entries), above the "
+            f"{DENSE_BUDGET_BYTES / 2**30:.3g} GiB budget"
+        )
     m = ShiftLatticeOperator.shift(window, +1)
     q = hardy_compression(window)
     p1 = ShiftLatticeOperator.cutoff(window, lambda s: (s >= 0) & (s % 2 == 0), 0.0)

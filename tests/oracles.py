@@ -26,7 +26,7 @@ from scipy.optimize import brentq
 from opindex import scattering
 from opindex.errors import DomainError, InconclusiveError
 from opindex.linalg import herm_eig
-from opindex.scattering import Potential, _amplitude_frames, _slab_propagators
+from opindex.scattering import Potential, _amplitude_frames, _mul2, _slab_propagators
 
 SVD_RANK_TOL = 1e-7  # singular values below this count as zero
 
@@ -127,7 +127,9 @@ def transfer_matrices_slabwise(v, k: np.ndarray, step: float = 0.01) -> np.ndarr
 
     The sweep the library ran before it merged runs of equal midpoint
     values: the same slab grid, each slab composed on its own, in the same
-    left-to-right order.
+    left-to-right order and with the library's 2x2 product, so a potential
+    with no two equal neighbouring midpoints gives the library's result bit
+    for bit.
     """
     k = np.asarray(k, dtype=float)
     a = v.support_radius
@@ -138,11 +140,11 @@ def transfer_matrices_slabwise(v, k: np.ndarray, step: float = 0.01) -> np.ndarr
     chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
     for vm in v_mid:
         q = np.sqrt(k2 - vm + 0j)
-        chain = np.einsum("kij,kjl->kil", _slab_propagators(q, h_in), chain)
-    chain = np.einsum("kij,kjl->kil", _slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
+        chain = _mul2(_slab_propagators(q, h_in), chain)
+    chain = _mul2(_slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
     frame_left, _ = _amplitude_frames(-a - 1.0, k)
     _, inv_right = _amplitude_frames(a + 1.0, k)
-    return np.einsum("kij,kjl,klm->kim", inv_right, chain, frame_left)
+    return _mul2(_mul2(inv_right, chain), frame_left)
 
 
 def square_well_bound_count(depth: float, half_width: float = 1.0) -> int:

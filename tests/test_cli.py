@@ -1,12 +1,14 @@
 """CLI contract: parsing precedence, record formats, exit codes."""
 
 import ast
+import gc
 import importlib.util
 import json
 import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -199,6 +201,93 @@ class TestParsing:
         params = parse_config(["ptf-check", "--theta-tags", "erf, logistic"]).params
         assert params["theta_tags"] == "erf, logistic"
         assert parse_config(["ptf-check"]).params["theta_tags"] == "logistic,erf"
+
+    def test_plain_parses_build_the_tree_once(self, monkeypatch):
+        builds = []
+        build = opindex.cli._build_parser
+
+        def counting():
+            builds.append(1)
+            return build()
+
+        monkeypatch.setattr(opindex.cli, "_build_parser", counting)
+        opindex.cli._shared_parser.cache_clear()
+        parse_config(["levinson"])
+        parse_config(["scan", "--depths", "1,2"])
+        assert len(builds) == 1
+
+    def test_config_defaults_do_not_leak_into_the_next_parse(self, tmp_path):
+        # set_defaults changes the tree it is called on, so a config parse
+        # must not change the tree that plain parses share
+        path = tmp_path / "run.cfg"
+        path.write_text("well_depth = 3\n")
+        assert parse_config(["--config", str(path), "levinson"]).params["well_depth"] == 3.0
+        assert parse_config(["levinson"]).params["well_depth"] == 2.0
+
+    @pytest.mark.parametrize("command, key", [("scan", "depths"), ("ptf-check", "t")])
+    def test_list_default_is_not_shared(self, command, key):
+        first = parse_config([command]).params[key]
+        default = list(first)
+        first.append(99.0)
+        assert parse_config([command]).params[key] == default
+
+    def test_config_file_is_closed(self, tmp_path, monkeypatch):
+        # an unclosed file warns from its finaliser, where the warning cannot
+        # propagate; it reaches the unraisable hook instead
+        path = tmp_path / "run.cfg"
+        path.write_text("mu = 0.5\n")
+        unraisable = []
+        monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            config = parse_config(["--config", str(path), "witten-estimate"])
+            gc.collect()
+        assert config.params["mu"] == 0.5
+        assert [str(u.exc_value) for u in unraisable] == []
+
+
+def _float_flags() -> list[tuple[str, str]]:
+    _, commands = opindex.cli._build_parser()
+    finite_types = (opindex.cli._finite_float, opindex.cli._float_list)
+    return [(command, action.option_strings[0])
+            for command, sub in commands.items() for action in sub._actions
+            if action.type in finite_types]
+
+
+FLOAT_FLAGS = _float_flags()
+
+
+def test_float_flags_cover_every_command_with_one():
+    flagged = {(command, flag) for command, flag in FLOAT_FLAGS}
+    assert {("levinson", "--well-depth"), ("scan", "--depths"),
+            ("witten-estimate", "--mu"), ("ptf-check", "--t")} <= flagged
+    assert {command for command, _ in FLOAT_FLAGS} == set(COMMANDS) - {
+        "toeplitz-example", "toeplitz-winding"}
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, flag", FLOAT_FLAGS,
+                         ids=[f"{c} {f}" for c, f in FLOAT_FLAGS])
+def test_non_finite_float_flag_exits_2(monkeypatch, capsys, command, flag, value):
+    # refused while parsing: levinson --well-depth inf used to crash with a
+    # math domain error, --well-depth nan to exit 3 in the guard band
+    def runs(*args):
+        raise AssertionError("a command ran on a non-finite value")
+
+    monkeypatch.setattr(opindex.cli, "run", runs)
+    assert main([command, f"{flag}={value}"]) == 2
+    assert "not a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["well_depth = nan", '{"well_depth": Infinity}'])
+def test_non_finite_config_value_exits_2(tmp_path, monkeypatch, text):
+    def runs(*args):
+        raise AssertionError("a command ran on a non-finite value")
+
+    monkeypatch.setattr(opindex.cli, "run", runs)
+    path = tmp_path / "run.cfg"
+    path.write_text(text + "\n")
+    assert main(["--config", str(path), "levinson"]) == 2
 
 
 def test_every_flag_changes_params():
@@ -411,6 +500,19 @@ class TestExitCodes:
 
         monkeypatch.setattr(witten, first_allocation, allocates)
         record, code = run(parse_config(argv))
+        assert code == 2
+        assert record.results["error_kind"] == "usage"
+        assert "budget" in record.results["error"]
+
+    def test_toeplitz_bands_over_budget_exit_2(self, monkeypatch):
+        # one band of 6 n + 1 complex sites is 8.9 GiB at n = 1e8; the guard
+        # must refuse before the first band is allocated
+        def allocates(*args, **kwargs):
+            raise AssertionError("a band was allocated past the memory guard")
+
+        monkeypatch.setattr(toeplitz.ShiftLatticeOperator, "from_band",
+                            classmethod(allocates))
+        record, code = run(parse_config(["toeplitz-example", "--n", "100000000"]))
         assert code == 2
         assert record.results["error_kind"] == "usage"
         assert "budget" in record.results["error"]

@@ -15,6 +15,8 @@ from opindex.errors import (
 )
 from opindex.scattering import (
     Potential,
+    _line_fit,
+    _mul2,
     bound_states,
     build_sigma,
     corrected_index,
@@ -150,6 +152,67 @@ class TestTransferMatrix:
         ])
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) <= 1e-8
         assert abs(s[0, 0] - s[1, 1]) <= 1e-8  # transmission reciprocity
+
+
+class TestKernels:
+    """The written-out 2x2 product and the closed-form line fit."""
+
+    @staticmethod
+    def complex_stack(rng, shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    def test_mul2_matches_einsum_and_matmul(self):
+        rng = np.random.default_rng(7)
+        a = self.complex_stack(rng, (320, 2, 2))
+        b = self.complex_stack(rng, (320, 2, 2))
+        product = _mul2(a, b)
+        assert product.shape == (320, 2, 2)
+        # each entry is a sum of two products: a few eps of its terms
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(a)) * np.max(np.abs(b))
+        assert np.max(np.abs(product - np.einsum("kij,kjl->kil", a, b))) <= bound
+        assert np.max(np.abs(product - a @ b)) <= bound
+
+    def test_mul2_broadcasts_a_single_matrix(self):
+        rng = np.random.default_rng(8)
+        stack = self.complex_stack(rng, (50, 2, 2))
+        single = self.complex_stack(rng, (2, 2))
+        bound = 4.0 * np.finfo(float).eps * np.max(np.abs(stack)) * np.max(np.abs(single))
+        left, right = _mul2(single, stack), _mul2(stack, single)
+        assert left.shape == right.shape == (50, 2, 2)
+        assert np.max(np.abs(left - np.einsum("ij,kjl->kil", single, stack))) <= bound
+        assert np.max(np.abs(right - stack @ single)) <= bound
+        # a real factor keeps the product complex
+        assert _mul2(single.real, stack).dtype == complex
+
+    @staticmethod
+    def assert_matches_polyfit(x, y, slope=None, intercept=None):
+        if slope is None:
+            slope, intercept = _line_fit(x, y)
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert abs(intercept - ref_intercept) <= 1e-13
+        # the slope is fixed only to the rounding of y over the spread of x
+        assert abs(slope - ref_slope) <= 1e-13 * np.max(np.abs(y)) / np.ptp(x)
+
+    def test_line_fit_matches_polyfit_on_real_data(self):
+        rng = np.random.default_rng(9)
+        k = np.geomspace(1e-3, 1.3e-3, 8)
+        phi = 2.5 - 40.0 * k + 1e-6 * rng.standard_normal(8)
+        self.assert_matches_polyfit(k, phi)
+        # a tail in 1 / k, as the winding's delta_inf + c / k fit takes it
+        inv = 1.0 / np.geomspace(1000.0, 2000.0, 30)
+        self.assert_matches_polyfit(inv, -3.0 + 7.0 * inv + 1e-9 * rng.standard_normal(30))
+
+    def test_line_fit_matches_polyfit_per_entry_of_a_complex_stack(self):
+        rng = np.random.default_rng(10)
+        k = np.geomspace(1e-3, 1.3e-3, 8)
+        s = (self.complex_stack(rng, (2, 2)) + k[:, None, None]
+             * self.complex_stack(rng, (2, 2))
+             + 1e-8 * self.complex_stack(rng, (8, 2, 2)))
+        slope, intercept = _line_fit(k, s)
+        assert slope.shape == intercept.shape == (2, 2)
+        for i in range(2):
+            for j in range(2):
+                self.assert_matches_polyfit(k, s[:, i, j], slope[i, j], intercept[i, j])
 
 
 class TestMergedSweep:
@@ -585,10 +648,15 @@ class TestExpResample:
         # geometric grid, and S is the parity rotation of the sampled matrices
         curve = scan_curves[2.0]
         lcurve = exp_resample(curve)
-        rotated = np.einsum("ij,kjl,lm->kim", scattering._HADAMARD,
-                            curve.s_matrices, scattering._HADAMARD)
+        hadamard = scattering._HADAMARD
+        rotated = _mul2(_mul2(hadamard, curve.s_matrices), hadamard)
         assert np.array_equal(lcurve.lam, 2.0 * np.log(curve.k_samples))
         assert np.array_equal(lcurve.s_matrices, rotated)
+        # the einsum form of the same rotation agrees to rounding
+        by_einsum = np.einsum("ij,kjl,lm->kim", hadamard, curve.s_matrices, hadamard)
+        eps = np.finfo(float).eps
+        bound = 4.0 * eps * np.max(np.abs(curve.s_matrices))
+        assert np.max(np.abs(lcurve.s_matrices - by_einsum)) <= bound
 
     def test_generic_threshold_limit_is_parity_diagonal(self, scan_curves):
         for depth in (0.5, 2.0, 25.0):
