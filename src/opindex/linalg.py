@@ -37,14 +37,16 @@ No singular value decomposition is needed.  The suspension D is
 time-reversal symmetric, D^H = P conj(D) P with P the reflection of the time
 circle, so its left singular vectors are P conj(V) for the eigenvectors V of
 the Gram matrix D^H D (a Takagi factorization of the complex-symmetric P D;
-Horn and Johnson, Matrix Analysis, 2nd ed., section 4.4), formed by BLAS
-``zherk`` in ``gram_lower`` so that the product and the solve share scipy's
-thread pool.  Its heat weights exp(-t s^2) see only lambda = s^2, which
-``evr`` returns to an absolute error of about eps ||D||^2, the order
-``gesdd`` gives for s^2, so forming the Gram matrix costs no accuracy
-there.  On 2304 complex rows (a 2-core host) the product and its ``evr``
-solve took 7.2-7.5 s against 13.6 s for ``gesdd``, and held 2.1 dense
-copies of D besides D itself against 5.5.
+Horn and Johnson, Matrix Analysis, 2nd ed., section 4.4).  ``witten``
+assembles that Gram matrix in closed form from the Kronecker factors of D,
+without forming D, and ``herm_eig`` solves it in place.  Its heat weights
+exp(-t s^2) see only lambda = s^2, which ``evr`` returns to an absolute
+error of about eps ||D||^2, the order ``gesdd`` gives for s^2, so solving
+the Gram matrix costs no accuracy there.  On 2304 complex rows (a 2-core
+host) the ``zherk`` product of D and its ``evr`` solve took 7.2-7.5 s
+against 13.6 s for ``gesdd``; the closed form replaces the product, and the
+solve holds the Gram matrix and its eigenvectors, 2.04 dense copies at its
+traced peak (36 x 32 product grid) against 3.04 with D formed.
 
 The one quadrature, ``line_integral``, integrates over the whole real line
 on fixed nodes: Gauss-Legendre on (-1, 1) mapped by x = tan(pi u / 2), so
@@ -184,20 +186,6 @@ def herm_eigvals(m) -> np.ndarray:
         )
     except np.linalg.LinAlgError as exc:  # pragma: no cover - rare in LAPACK
         raise EigensolverError(f"eigh failed to converge: {exc}") from exc
-
-
-def gram_lower(d: np.ndarray) -> np.ndarray:
-    """Lower triangle of conj(D^H D) for a complex D, by BLAS ``zherk``.
-
-    ``zherk`` is handed D^T, a Fortran view of a C-ordered D, and writes
-    D^T conj(D) = conj(D^H D) into a fresh Fortran array; the strict upper
-    triangle is left zero.  Its eigenvalues and the squared moduli of its
-    eigenvectors are those of D^H D, and ``herm_eig`` reads only the lower
-    triangle, so the result can go to ``herm_eig(..., overwrite=True)``.
-    """
-    from scipy.linalg import blas
-
-    return blas.zherk(1.0, d.T, lower=1)
 
 
 # node counts of the coarse and the fine line rule

@@ -60,13 +60,25 @@ singular vectors are P conj(V), and
         = sum_j exp(-t lambda_j) sum_i (1_W - 1_{P(W)})_i |V_ij|^2.
 
 Only lambda = s^2 enters the heat weights, and ``evr`` returns it to about
-eps ||D||^2 absolute, as an SVD would; forming the Gram matrix squares the
+eps ||D||^2 absolute, as an SVD would; solving the Gram matrix squares the
 condition number of the singular values, not of the weights.  Inputs
 without the symmetry (a theta profile that is not reflection-even, a bump
 that is not K-symmetric) are refused.
 
-The dense kernels, the Gram product of the suspension (``gram_lower``)
-among them, come from ``linalg``, the one module that calls scipy.
+D itself is never formed.  In the t-site (x) x-plane-wave basis it is
+D = T (x) I + I (x) A_1 + Theta (x) B with T the spectral d/dt, A_1 the real
+diagonal of frequencies, Theta = diag(theta_j) and B the real bump form, so
+
+    D^H D = (T^H T) (x) I + (T o (theta_i - theta_j)) (x) B
+            + blockdiag_i (A_1 + theta_i B)^2
+
+exactly, the discrete -d^2/dt^2 + A(t)^2 - A'(t) of Gesztesy, Latushkin,
+Makarov, Sukochev and Tomilov (Adv. Math. 227, 2011); the A_1 cross terms
+cancel because T^H = -T.  It is filled in O(N^2) for N = n_t n_x rows, in
+place of the O(N^3) product D^H D, and the solve holds only the Gram matrix
+and its eigenvectors.
+
+The dense kernels come from ``linalg``, the one module that calls scipy.
 """
 
 from __future__ import annotations
@@ -95,7 +107,7 @@ from .constants import (
     WITTEN_SIGN,
 )
 from .errors import DomainError, InsufficientDecayError, NonConvergenceError
-from .linalg import gram_lower, herm_eig, herm_eigvals, line_integral
+from .linalg import herm_eig, herm_eigvals, line_integral
 
 # the error function, elementwise on arrays; math.erf keeps scipy.special,
 # and the start-up time it costs, off the import path
@@ -475,22 +487,29 @@ class ThetaProfile:
 
 @dataclass(frozen=True)
 class SuspensionOperator:
-    """Dense realisation of d/dt + A_1 + theta(t) B on a (t, x) product grid.
+    """d/dt + A_1 + theta(t) B on a (t, x) product grid, held by its factors.
 
-    The matrix is held in the basis I_t (x) F of t-sites times x-plane-waves;
-    the change is unitary and keeps the t-rows, so the Gram spectrum and window
-    masses are those of the grid-space matrix.  ``theta_samples`` are the
-    values actually placed on the time circle (rise centred at -L_t/2,
-    mirrored fall at +L_t/2) and ``window_mask`` marks the rows of the rise
-    half over which traces are reported.
+    In the basis I_t (x) F of t-sites times x-plane-waves the operator is
+
+        D = T (x) I + I (x) diag(frequencies) + diag(theta_samples) (x) bump_form
+
+    with T the skew-Hermitian spectral d/dt on the time sites and
+    ``bump_form`` the real plane-wave form of B; the change of x basis is
+    unitary and keeps the t-rows, so the Gram spectrum and window masses are
+    those of the grid-space operator.  D itself is never formed.
+    ``theta_samples`` are the values actually placed on the time circle
+    (rise centred at -L_t/2, mirrored fall at +L_t/2) and ``window_mask``
+    marks the rows of the rise half over which traces are reported.
     """
 
-    matrix: np.ndarray = field(repr=False)
     t_grid: GridSpec
     x_grid: GridSpec
     theta: ThetaProfile
     theta_samples: np.ndarray = field(repr=False)
     window_mask: np.ndarray = field(repr=False)
+    time_derivative: np.ndarray = field(repr=False)
+    frequencies: np.ndarray = field(repr=False)
+    bump_form: np.ndarray = field(repr=False)
 
 
 def _reflection(n: int) -> np.ndarray:
@@ -513,15 +532,15 @@ def build_suspension(
     across the periodic seam.  The spectrum needs D^H = P conj(D) P (see the
     module docstring), so theta samples that are not reflection-even to
     THETA_REFLECTION_TOL, and a bump whose plane-wave form is not real, are
-    refused with DomainError before D is allocated.
+    refused with DomainError before any factor of D is formed.
     """
     if a1.grid != x_grid:
         raise DomainError("base operator grid does not match the x grid")
     n_x = x_grid.points * b.dim
-    # the spectrum holds the most at once: D, its Gram matrix (solved in
-    # place) and the eigenvectors; the peak ru_maxrss of a fresh process at
-    # 48 x 48 was 3.1 dense copies, D included
-    _require_dense_budget(t_grid.points * n_x, 4, "the suspension and its spectrum")
+    # the spectrum holds its Gram matrix (solved in place) and the
+    # eigenvectors; the tracemalloc peak of build and spectrum was 2.04
+    # dense copies at 36 x 32 and 2.09 at 24 x 24, so 3 whole copies
+    _require_dense_budget(t_grid.points * n_x, 3, "the suspension spectrum")
     half = t_grid.half_width
     ends = np.asarray(theta.evaluator(np.array([-half, half])), dtype=float)
     if abs(ends[0]) > THETA_TAIL_TOL or abs(1.0 - ends[1]) > THETA_TAIL_TOL:
@@ -545,21 +564,42 @@ def build_suspension(
             "bump breaks time reversal: its plane-wave form is not real, so "
             "Phi(-x) = conj Phi(x) (K symmetry) fails"
         )
-    # d_t (x) I + I (x) A_1 + diag(theta) (x) B, assembled in place
-    mat = np.kron(spectral_time_derivative(t_grid), np.eye(n_x))
-    mat.flat[:: len(mat) + 1] += np.tile(a1.frequencies(b.dim), t_grid.points)
-    for i, weight in enumerate(theta_samples):
-        block = slice(i * n_x, (i + 1) * n_x)
-        mat[block, block] += weight * bump
     window_mask = np.repeat(t < 0.0, n_x)
     return SuspensionOperator(
-        matrix=mat,
         t_grid=t_grid,
         x_grid=x_grid,
         theta=theta,
         theta_samples=theta_samples,
         window_mask=window_mask,
+        time_derivative=spectral_time_derivative(t_grid),
+        frequencies=a1.frequencies(b.dim),
+        bump_form=bump,
     )
+
+
+def _gram(d: SuspensionOperator) -> np.ndarray:
+    """conj(D^H D) as a Fortran array, in closed form from the factors of D.
+
+    With T^H = -T, A_1 = diag(frequencies) and Theta = diag(theta_samples),
+
+        D^H D = (T^H T) (x) I + (T o (theta_i - theta_j)) (x) B
+                + blockdiag_i (A_1 + theta_i B)^2,
+
+    the discrete -d^2/dt^2 + A(t)^2 - A'(t); the A_1 cross terms cancel.
+    The middle term is the one dense product, the other two are added in
+    place on its x diagonals and its diagonal blocks.  D^H D is Hermitian,
+    so its transpose, a Fortran view, is conj(D^H D).
+    """
+    t, theta, bump = d.time_derivative, d.theta_samples, d.bump_form
+    n_t, n_x = len(theta), len(d.frequencies)
+    gram = np.kron(t * (theta[:, None] - theta[None, :]), bump)
+    # einsum over a repeated index returns a writeable view of that diagonal
+    blocks = gram.reshape(n_t, n_x, n_t, n_x)
+    np.einsum("iaja->ija", blocks)[...] += (t.conj().T @ t)[:, :, None]
+    a_t = theta[:, None, None] * bump  # A_1 + theta_i B at each time site i
+    np.einsum("iaa->ia", a_t)[...] += d.frequencies
+    np.einsum("iaib->iab", blocks)[...] += a_t @ a_t
+    return gram.T
 
 
 @dataclass(frozen=True)
@@ -576,14 +616,13 @@ class SuspensionSpectrum:
 def suspension_spectrum(d: SuspensionOperator) -> SuspensionSpectrum:
     """One Hermitian eigensolve serves both heat generators.
 
-    ``gram_lower`` forms the lower triangle of conj(D^H D) in scipy's BLAS,
-    so the product and the solve share one thread pool; its eigenvalues and
-    squared moduli |V_ij|^2 are those of D^H D, and the solve overwrites it.
+    The solve overwrites conj(D^H D), assembled by ``_gram``; its
+    eigenvalues and squared moduli |V_ij|^2 are those of D^H D.
     """
     n_t = d.t_grid.points
     window = d.window_mask.reshape(n_t, -1)
     delta = (window.astype(float) - window[_reflection(n_t)]).ravel()
-    values, vectors = herm_eig(gram_lower(d.matrix), overwrite=True)
+    values, vectors = herm_eig(_gram(d), overwrite=True)
     # sum_i delta_i |V_ij|^2 in numpy's own loop, without forming |V|^2:
     # rows of V^T, a C-ordered view, read as (re, im) pairs
     pairs = vectors.T.view(float).reshape(len(values), -1, 2)

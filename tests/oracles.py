@@ -9,8 +9,9 @@ negative Dirichlet eigenvalues in a box (the bound-state oracle),
 Gauss-Legendre quadrature of the heat-trace s-integral over the full
 spectrum, QUADPACK's adaptive ``quad`` for the
 closed-form pair index, scipy's ``brentq`` for the resonant depth,
-suspension traces from numpy's own LAPACK, dense matrices of shift-lattice
-band maps assembled entry by entry, the grid-space Dirac and bump matrices with their plane-wave forms
+the dense suspension D and its traces from numpy's own LAPACK, dense
+matrices of shift-lattice band maps assembled entry by entry, the
+grid-space Dirac and bump matrices with their plane-wave forms
 taken through the dense DFT matrix, and Fredholm kernel/cokernel counts
 from the singular values of dense Toeplitz truncations.
 """
@@ -385,6 +386,19 @@ def path_split_full_spectrum(a1_matrix, b1_matrix, b2_matrix, t: float,
         _s_integral(a1_matrix, b1_matrix, t, s_nodes),
         _s_integral(a1_matrix + b1_matrix, b2_matrix, t, s_nodes),
     )
+
+
+def suspension_matrix(sus) -> np.ndarray:
+    """Dense D = T (x) I + I (x) diag(k) + diag(theta) (x) B of a suspension.
+
+    Assembled from the operator's factors in its t-site (x) x-plane-wave
+    basis; the library never forms D and builds D^H D in closed form.
+    """
+    n_x = len(sus.frequencies)
+    mat = np.kron(sus.time_derivative, np.eye(n_x))
+    mat += np.diag(np.tile(sus.frequencies, sus.t_grid.points))
+    mat += np.kron(np.diag(sus.theta_samples), sus.bump_form)
+    return mat
 
 
 def suspension_window_trace(matrix, window_mask, t: float) -> float:

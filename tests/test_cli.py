@@ -486,9 +486,9 @@ class TestExitCodes:
         assert "not within 1e-3 of 0 or 1/2" in record.results["error"]
 
     @pytest.mark.parametrize("argv, first_allocation", [
-        # 160000 suspension rows: 4 dense copies (D, its Gram matrix and
-        # the eigenvectors) of 410 GB each
-        (["ptf-check", "--nt", "400", "--nx", "400"], "spectral_time_derivative"),
+        # 160000 suspension rows: 3 dense copies (the Gram matrix and its
+        # eigenvectors, rounded up) of 410 GB each
+        (["ptf-check", "--nt", "400", "--nx", "400"], "_gram"),
         # a 65536-point plane-wave form alone is a 69 GB dense matrix
         (["compose-check", "--points", "65536"], "_circulant"),
         (["witten-estimate", "--points", "65536"], "_circulant"),
@@ -503,6 +503,23 @@ class TestExitCodes:
         assert code == 2
         assert record.results["error_kind"] == "usage"
         assert "budget" in record.results["error"]
+
+    @pytest.mark.parametrize("spare, expected", [(0, 0), (-1, 2)],
+                             ids=["at-budget", "one-byte-short"])
+    def test_suspension_budget_is_three_dense_copies(self, monkeypatch, spare,
+                                                     expected):
+        # 576 rows: the run fits a budget of exactly 3 x 576^2 complex
+        # entries and is refused one byte below it
+        monkeypatch.setattr(witten, "DENSE_BUDGET_BYTES",
+                            3 * 576 * 576 * np.dtype(complex).itemsize + spare)
+        record, code = run(parse_config(
+            ["ptf-check", "--nt", "24", "--nx", "24", "--t-half-width", "10",
+             "--x-half-width", "8", "--theta-tags", "logistic", "--t", "1"]
+        ))
+        assert code == expected
+        if expected == 2:
+            assert record.results["error_kind"] == "usage"
+            assert "3 x 576^2" in record.results["error"]
 
     def test_toeplitz_bands_over_budget_exit_2(self, monkeypatch):
         # one band of 6 n + 1 complex sites is 8.9 GiB at n = 1e8; the guard

@@ -70,8 +70,8 @@ class TestHermEig:
         assert np.max(np.abs(gram - np.eye(32))) <= 1e-10
 
     def test_overwrite_reads_lower_triangle_in_place(self):
-        # the suspension hands its Gram matrix over as a Fortran array with
-        # only the lower triangle written, and lets the solve consume it
+        # the suspension hands its Gram matrix over as a Fortran array and
+        # lets the solve consume it; only the lower triangle is read
         m = random_hermitian(30, seed=5)
         lower = np.asfortranarray(np.tril(m))
         es = herm_eig(lower, overwrite=True)

@@ -1,5 +1,7 @@
 """Heat-trace machinery: spectral operators, plateaus, suspension traces."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -36,6 +38,7 @@ from oracles import (
     multiplication_matrix,
     path_split_full_spectrum,
     plane_wave_form,
+    suspension_matrix,
     suspension_window_trace,
 )
 
@@ -389,7 +392,7 @@ class TestSuspension:
             a1, PerturbationProfile.zero(), ThetaProfile.logistic(),
             self.T_GRID, self.X_GRID,
         )
-        m = sus.matrix
+        m = suspension_matrix(sus)
         assert np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) <= 1e-8
 
     def test_zero_perturbation_trace_vanishes(self):
@@ -402,18 +405,18 @@ class TestSuspension:
 
     def test_nonzero_perturbation_not_normal(self, small_suspension):
         _, _, sus, _ = small_suspension
-        m = sus.matrix
+        m = suspension_matrix(sus)
         assert np.max(np.abs(m @ m.conj().T - m.conj().T @ m)) > 0.01
 
     def test_adjoint_consistency(self, small_suspension):
-        # the matrix is held in the t-site (x) x-plane-wave basis
+        # the factors are held in the t-site (x) x-plane-wave basis
         _, bump, sus, _ = small_suspension
         basis = np.kron(np.eye(self.T_GRID.points), dft_basis(self.X_GRID.points, 1))
         independent = basis @ grid_space_adjoint(
             bump, sus.theta_samples, self.T_GRID, self.X_GRID
         )
         independent = independent @ basis.conj().T
-        assert np.max(np.abs(sus.matrix.conj().T - independent)) <= 1e-10
+        assert np.max(np.abs(suspension_matrix(sus).conj().T - independent)) <= 1e-10
 
     @pytest.mark.parametrize("theta, bump", [
         (ThetaProfile.logistic(), PerturbationProfile.lorentzian(1.0)),
@@ -428,7 +431,7 @@ class TestSuspension:
             discretize_dirac(NARROW_X_GRID), bump, theta, self.T_GRID, NARROW_X_GRID
         )
         rows = ((-np.arange(n_t) % n_t)[:, None] * n_x + np.arange(n_x)).ravel()
-        m = sus.matrix
+        m = suspension_matrix(sus)
         reflected = m.conj()[np.ix_(rows, rows)]
         assert np.max(np.abs(reflected - m.conj().T)) <= 1e-14 * np.max(np.abs(m))
 
@@ -445,10 +448,44 @@ class TestSuspension:
             self.T_GRID, self.X_GRID,
         )
         values = np.sort(suspension_spectrum(sus).values)
-        m = sus.matrix
+        m = suspension_matrix(sus)
         for gram in (m.conj().T @ m, m @ m.conj().T):
             oracle = np.linalg.eigvalsh(gram)
             assert np.max(np.abs(values - oracle)) <= 1e-12 * np.max(oracle)
+
+    @pytest.mark.parametrize("x_grid", [SUSPENSION_X_GRID, NARROW_X_GRID],
+                             ids=["square", "narrow"])
+    @pytest.mark.parametrize("theta, bump", [
+        (ThetaProfile.logistic(), PerturbationProfile.lorentzian(1.0)),
+        (ThetaProfile.erf_profile(), PerturbationProfile.lorentzian(1.0)),
+        (ThetaProfile.logistic(), PerturbationProfile.zero()),
+        (ThetaProfile.erf_profile(), REAL_EVEN_BUMP),
+    ], ids=["logistic", "erf", "zero-bump", "real-even-2x2"])
+    def test_closed_form_gram_matches_oracle(self, theta, bump, x_grid):
+        # conj(D^H D) from the factors, against the product of the dense D;
+        # both round at eps max|G| per entry, times the few terms summed
+        sus = build_suspension(discretize_dirac(x_grid), bump, theta, self.T_GRID, x_grid)
+        gram = witten._gram(sus)
+        m = suspension_matrix(sus)
+        oracle = m.conj().T @ m
+        assert gram.flags.f_contiguous
+        assert np.max(np.abs(gram.T - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+    def test_spectrum_holds_two_dense_copies(self, small_suspension):
+        # the Gram matrix, solved in place, and its eigenvectors; forming D
+        # as well read 3.04 copies.  The first solve has run in the fixture,
+        # so scipy's import is not traced
+        a1, bump, _, _ = small_suspension
+        rows = self.T_GRID.points * self.X_GRID.points
+        tracemalloc.start()
+        try:
+            suspension_spectrum(build_suspension(
+                a1, bump, ThetaProfile.logistic(), self.T_GRID, self.X_GRID
+            ))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * rows * rows * np.dtype(complex).itemsize
 
     def test_spectrum_is_one_gram_eigensolve(self, small_suspension, monkeypatch):
         _, _, sus, spectrum = small_suspension
