@@ -24,7 +24,6 @@ from .scattering import (
     find_resonant_depth,
     levinson_check,
     phase_winding,
-    resonance_detect,
     scattering_matrix,
     witten_index_sigma,
 )
@@ -72,7 +71,7 @@ __all__ = [
     "path_splitting_check",
     "Potential", "ScatteringCurve", "LevinsonReport", "SigmaFactor",
     "LambdaCurve", "CorrectedIndexReport",
-    "scattering_matrix", "bound_states", "phase_winding", "resonance_detect",
-    "levinson_check", "exp_resample", "build_sigma", "witten_index_sigma",
-    "corrected_index", "find_resonant_depth",
+    "scattering_matrix", "bound_states", "phase_winding", "levinson_check",
+    "exp_resample", "build_sigma", "witten_index_sigma", "corrected_index",
+    "find_resonant_depth",
 ]

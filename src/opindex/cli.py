@@ -322,7 +322,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "phase_winding, resonance_flag, resonance_evidence, "
                               "convention, residual_levinson, then curve columns "
                               "scattering.k, scattering.det_re, scattering.det_im, "
-                              "scattering.unitarity_residual; one row per k sample.")
+                              "scattering.unitarity_residual; one row per k sample. "
+                              "resonance_evidence is psi'/psi of the zero-energy "
+                              "solution at the right edge of the well; "
+                              "resonance_flag is 1 exactly when its modulus is at "
+                              "most 1e-13 (HALF_BOUND_TOL), a half-bound state.")
     p.add_argument("--well-depth", type=_finite_float, default=2.0)
     p.add_argument("--well-width", type=_finite_float, default=1.0)
     p.add_argument("--max-residual", type=_finite_float, default=LEVINSON_MAX_RESIDUAL)

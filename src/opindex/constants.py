@@ -64,12 +64,11 @@ TRANSFER_DET_TOL = 1e-8          # |det - 1| of every (psi, psi') slab chain
 # The zero-energy solution runs on linearly right of the support, so it has
 # one more zero there, one more bound state, when psi psi' < 0.  A slope
 # |psi'| <= HALF_BOUND_TOL |psi| puts that zero at least 1 / HALF_BOUND_TOL
-# past the support: a half-bound state, not a bound state.  At the Brent
-# root of find_resonant_depth(a), a in [0.5, 3], |psi'/psi| reads at most
-# 1.3e-15; at 1e-12 relative depth above it at least 8.2e-13.
+# past the support: a half-bound state, not a bound state, and the same
+# test sets M_R(0) = 1 in the Levinson balance.  At the Brent root of
+# find_resonant_depth(a), a in [0.5, 3], |psi'/psi| reads at most 1.3e-15;
+# at 1e-12 relative depth above it at least 8.2e-13.
 HALF_BOUND_TOL = 1e-13
-RESONANCE_THRESHOLD = 0.1        # extrapolated |t(0)| above this: resonance
-RESONANCE_GUARD_LO = 0.02        # evidence inside [lo, threshold): inconclusive
 LEVINSON_MAX_RESIDUAL = 0.05     # accepted verification reports stay below this
 
 # Phase conventions for the bound-state count.  delta is the continuously

@@ -22,8 +22,10 @@ energy and the bound-state count reads
 
     N = -(delta(inf) - delta(0)) / (2 pi) + (1 - M_R(0)) / 2,
 
-where M_R(0) = 1 exactly when a zero-energy half-bound state exists (the
-threshold behaviour |t(0)| > 0).  The generic threshold carries the 1/2;
+where M_R(0) = 1 exactly when a zero-energy half-bound state exists: the
+zero-energy solution is bounded at both ends, so its slope at the edge of
+the support vanishes, read as |psi'| <= HALF_BOUND_TOL |psi| by the same
+pass that counts the bound states.  The generic threshold carries the 1/2;
 the resonant one does not.  This calibration, fixed once against the
 square-well oracle and recorded in the constants table, also makes the
 free line (t == 1, M_R = 1, delta == 0, N = 0) come out with no special
@@ -56,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -65,8 +68,6 @@ from .constants import (
     LEVINSON_CONVENTION,
     LEVINSON_MAX_RESIDUAL,
     LEVINSON_SIGN,
-    RESONANCE_GUARD_LO,
-    RESONANCE_THRESHOLD,
     S_UNITARITY_TOL,
     TRANSFER_DET_TOL,
     UNWRAP_MAX_STEP,
@@ -75,7 +76,6 @@ from .constants import (
 from .errors import (
     ConstructionError,
     DomainError,
-    InconclusiveError,
     IntegrationError,
     RangeError,
     UndersamplingError,
@@ -96,7 +96,9 @@ K_GRID.setflags(write=False)
 # potentials
 
 
-@dataclass(frozen=True)
+# compared and hashed by identity, whatever the evaluator, so that the
+# zero-energy pass can keep its last potential
+@dataclass(frozen=True, eq=False)
 class Potential:
     """Real potential with certified compact (or fast-decaying) support."""
 
@@ -364,6 +366,20 @@ def bound_states(v: Potential) -> int:
     |psi'| <= HALF_BOUND_TOL |psi|: that zero lies beyond 1 / HALF_BOUND_TOL,
     a zero-energy half-bound state, which is not a bound state.
     """
+    return _zero_energy_pass(v)[0]
+
+
+# the last pass is kept, so that levinson_check reads the count through
+# bound_states, a name perfbench/layers.py times, and the threshold from
+# the same pass
+@lru_cache(maxsize=1)
+def _zero_energy_pass(v: Potential) -> tuple[int, int, float]:
+    """(N, M_R(0), psi'/psi at the right edge of the support), from one pass.
+
+    The zero-energy solution of :func:`bound_states`, walked once.  M_R(0)
+    is 1 exactly when |psi'| <= HALF_BOUND_TOL |psi| at the edge, the
+    half-bound state that the count leaves out.
+    """
     psi, dpsi = 1.0, 0.0
     zeros = 0
     for vm, width in zip(*(run.tolist() for run in _slab_runs(v, SLAB_STEP))):
@@ -388,13 +404,15 @@ def bound_states(v: Potential) -> int:
             turns += 1
         zeros += turns
         psi = new
-    if psi * dpsi < 0.0 and abs(dpsi) > HALF_BOUND_TOL * abs(psi):
+    half_bound = abs(dpsi) <= HALF_BOUND_TOL * abs(psi)
+    if psi * dpsi < 0.0 and not half_bound:
         zeros += 1
-    return zeros
+    log_derivative = dpsi / psi if psi else math.copysign(math.inf, dpsi)
+    return zeros, int(half_bound), log_derivative
 
 
 # ---------------------------------------------------------------------------
-# phase winding and resonance
+# phase winding and the resonant depth
 
 
 def _unwrapped_args(values: np.ndarray) -> np.ndarray:
@@ -422,37 +440,6 @@ def phase_winding(curve: ScatteringCurve) -> float:
         tail_mask[-3:] = True
     _, delta_inf = _line_fit(1.0 / k[tail_mask], phi[tail_mask])
     return float(delta_inf - delta0)
-
-
-def resonance_detect(curve: ScatteringCurve):
-    """Zero-energy resonance flag from the transmission threshold behaviour.
-
-    Returns (M_R0, evidence) with evidence |t(0)|, extrapolated quadratically
-    in k from the samples of the curve on k in [1e-3, 1e-2] (about 50 on
-    K_GRID).  Generic potentials have t(k) -> 0 linearly, a half-bound
-    state keeps |t(0)| > 0.  Evidence inside the guard band [0.02, 0.1) is
-    refused as inconclusive rather than classified.
-    """
-    k = curve.k_samples
-    head = (k >= 1e-3) & (k <= 1e-2)
-    if np.count_nonzero(head) < 3:
-        raise RangeError(
-            f"curve holds {np.count_nonzero(head)} samples on k in [1e-3, 1e-2]; "
-            "the threshold fit needs at least 3"
-        )
-    mod_t = np.abs(curve.s_matrices[head, 0, 0])
-    design = np.vander(k[head], 3)  # columns k^2, k, 1
-    coeffs, *_ = np.linalg.lstsq(design, mod_t, rcond=None)
-    evidence = max(float(coeffs[-1]), 0.0)
-    if evidence >= RESONANCE_THRESHOLD:
-        return 1, evidence
-    if evidence < RESONANCE_GUARD_LO:
-        return 0, evidence
-    raise InconclusiveError(
-        f"threshold transmission {evidence:.3f} falls in the guard band "
-        f"[{RESONANCE_GUARD_LO}, {RESONANCE_THRESHOLD}); perturb the well depth",
-        detail=evidence,
-    )
 
 
 def find_resonant_depth(half_width: float = 1.0) -> float:
@@ -539,7 +526,11 @@ class LevinsonReport:
     ``residual`` is |N - predicted| with
     predicted = LEVINSON_SIGN * winding / (2 pi) + (1 - M_R0) / 2,
     the calibrated reading of the phase/bound-state relation (see the
-    module docstring and the constants table).
+    module docstring and the constants table).  ``resonance_flag`` is M_R0
+    and ``resonance_evidence`` the signed log-derivative psi'/psi of the
+    zero-energy solution at the right edge of the support: 0 on the free
+    line, about -kappa for a level bound at energy -kappa^2 by almost
+    nothing, and |psi'/psi| <= HALF_BOUND_TOL exactly when M_R0 = 1.
     """
 
     n_bound: int
@@ -553,19 +544,18 @@ class LevinsonReport:
 
 
 def levinson_check(v: Potential) -> LevinsonReport:
-    """Assemble the three independent quantities and their residual.
+    """Balance the bound-state count against the phase winding.
 
-    N comes from the zero-energy node count on the slab model of V, the
-    winding from the scattering curve on K_GRID, and the resonance flag from
-    the threshold transmission at the head of that curve; the report is
-    accepted when the residual stays below 0.05.  The curve is returned in
-    the report, so that the corrected index of the same well reads the same
-    samples.
+    N and the resonance flag come from one zero-energy pass over the slab
+    model of V (:func:`bound_states`), the winding from the scattering curve
+    on K_GRID; the report is accepted when the residual stays below
+    LEVINSON_MAX_RESIDUAL.  The curve is returned in the report, so that the
+    corrected index of the same well reads the same samples.
     """
     curve = scattering_matrix(v)
     n = bound_states(v)
+    _, flag, evidence = _zero_energy_pass(v)
     winding = phase_winding(curve)
-    flag, evidence = resonance_detect(curve)
     predicted = LEVINSON_SIGN * winding / (2.0 * np.pi) + 0.5 * (1 - flag)
     residual = abs(n - predicted)
     return LevinsonReport(

@@ -8,7 +8,9 @@ transcendental root counting, finite-difference Sturm counts of the
 negative Dirichlet eigenvalues in a box (the bound-state oracle),
 Gauss-Legendre quadrature of the heat-trace s-integral over the full
 spectrum, QUADPACK's adaptive ``quad`` for the
-closed-form pair index, scipy's ``brentq`` for the resonant depth,
+closed-form pair index, scipy's ``brentq`` for the resonant depth, the
+zero-energy resonance flag from the threshold transmission |t(0)| fitted
+on the head of the scattering curve,
 the dense suspension D and its traces from numpy's own LAPACK, dense
 matrices of shift-lattice band maps assembled entry by entry, the
 grid-space Dirac and bump matrices with their plane-wave forms
@@ -25,11 +27,13 @@ from scipy.linalg import expm as pade_expm  # noqa: F401  (re-exported oracle)
 from scipy.optimize import brentq
 
 from opindex import scattering
-from opindex.errors import DomainError, InconclusiveError
+from opindex.errors import DomainError, InconclusiveError, RangeError
 from opindex.linalg import herm_eig
 from opindex.scattering import Potential, _amplitude_frames, _mul2, _slab_propagators
 
 SVD_RANK_TOL = 1e-7  # singular values below this count as zero
+RESONANCE_THRESHOLD = 0.1  # extrapolated |t(0)| above this: resonance
+RESONANCE_GUARD_LO = 0.02  # evidence inside [lo, threshold): inconclusive
 
 
 def taylor_expm(m: np.ndarray, terms: int = 24) -> np.ndarray:
@@ -299,6 +303,39 @@ def resonant_depth_brentq(half_width: float) -> float:
     eps = np.finfo(float)
     return brentq(entry, quarter ** 2, (3.0 * quarter) ** 2,
                   xtol=eps.tiny, rtol=4.0 * eps.eps)
+
+
+def resonance_detect(curve):
+    """Zero-energy resonance flag from the transmission threshold behaviour.
+
+    Returns (M_R0, evidence) with evidence |t(0)|, extrapolated quadratically
+    in k from the samples of the curve on k in [1e-3, 1e-2] (about 50 on
+    K_GRID).  Generic potentials have t(k) -> 0 linearly, a half-bound
+    state keeps |t(0)| > 0.  Evidence inside the guard band [0.02, 0.1) is
+    refused as inconclusive rather than classified.  The library reads the
+    flag from the zero-energy solution instead; this fit misreads wells
+    whose threshold scale falls inside its k window.
+    """
+    k = curve.k_samples
+    head = (k >= 1e-3) & (k <= 1e-2)
+    if np.count_nonzero(head) < 3:
+        raise RangeError(
+            f"curve holds {np.count_nonzero(head)} samples on k in [1e-3, 1e-2]; "
+            "the threshold fit needs at least 3"
+        )
+    mod_t = np.abs(curve.s_matrices[head, 0, 0])
+    design = np.vander(k[head], 3)  # columns k^2, k, 1
+    coeffs, *_ = np.linalg.lstsq(design, mod_t, rcond=None)
+    evidence = max(float(coeffs[-1]), 0.0)
+    if evidence >= RESONANCE_THRESHOLD:
+        return 1, evidence
+    if evidence < RESONANCE_GUARD_LO:
+        return 0, evidence
+    raise InconclusiveError(
+        f"threshold transmission {evidence:.3f} falls in the guard band "
+        f"[{RESONANCE_GUARD_LO}, {RESONANCE_THRESHOLD}); perturb the well depth",
+        detail=evidence,
+    )
 
 
 def dirac_matrix(grid, dim: int = 1) -> np.ndarray:

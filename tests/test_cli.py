@@ -36,6 +36,28 @@ def test_public_names_are_used_by_the_library():
     assert sorted(set(opindex.__all__) - used) == []
 
 
+def test_every_constant_is_read_by_the_library():
+    # the constants table lists the tolerances the library applies, so a
+    # value no other module reads, and conventions() does not report, goes
+    package = Path(opindex.__file__).parent
+    table = ast.parse((package / "constants.py").read_text(encoding="utf-8"))
+    assigned = {target.id for node in table.body if isinstance(node, ast.Assign)
+                for target in node.targets}
+    trees = [ast.parse(module.read_text(encoding="utf-8"))
+             for module in package.glob("*.py") if module.name != "constants.py"]
+    trees += [node for node in table.body
+              if isinstance(node, ast.FunctionDef) and node.name == "conventions"]
+    read = set()
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+    public = {name for name in assigned if not name.startswith("_")}
+    assert public and sorted(public - read) == []
+
+
 def test_tracer_finds_every_wrapped_name():
     # the benchmark's tracer looks each wrapped function up by name, so a
     # renamed or deleted library function breaks its traced runs
@@ -270,7 +292,7 @@ def test_float_flags_cover_every_command_with_one():
                          ids=[f"{c} {f}" for c, f in FLOAT_FLAGS])
 def test_non_finite_float_flag_exits_2(monkeypatch, capsys, command, flag, value):
     # refused while parsing: levinson --well-depth inf used to crash with a
-    # math domain error, --well-depth nan to exit 3 in the guard band
+    # math domain error
     def runs(*args):
         raise AssertionError("a command ran on a non-finite value")
 
@@ -432,13 +454,26 @@ class TestExitCodes:
 
     def test_level_below_curve_resolution_exits_1(self):
         # 4e-5 above the resonance the second level decays like exp(-1e-4 x):
-        # counted, but its phase step lies at k ~ 1e-4, below the curve's
-        # k >= 1e-3, so the threshold reads as a half-bound state and the
-        # balance misses the level by one
+        # counted, and the threshold is generic (psi'/psi = -9.9e-5), but
+        # the level's phase step lies at k ~ 1e-4, below the curve's
+        # k >= 1e-3, so the winding misses about half of it
         record, code = run(parse_config(["levinson", "--well-depth", "2.4675"]))
         assert code == 1
-        assert (record.results["n_bound"], record.results["resonance_flag"]) == (2, 1)
-        assert record.residuals["levinson"] > 0.9
+        assert (record.results["n_bound"], record.results["resonance_flag"]) == (2, 0)
+        assert record.results["resonance_evidence"] == pytest.approx(-9.9e-5, rel=0.01)
+        assert record.residuals["levinson"] == pytest.approx(0.47, abs=0.01)
+
+    @pytest.mark.parametrize("depth, n_bound", [(2.46, 1), (2.475, 2), (22.2, 3)])
+    def test_threshold_near_resonance_exits_0(self, depth, n_bound):
+        # within 1e-2 of the resonances (pi / 2)^2 and (3 pi / 2)^2 the
+        # threshold scale |psi'/psi| lies inside k in [1e-3, 1e-2], where a
+        # fit of |t(k)| read a guard band (2.46, 2.475) or a half-bound
+        # state (22.2); the zero-energy solution reads a generic threshold
+        record, code = run(parse_config(["levinson", "--well-depth", str(depth)]))
+        assert code == 0
+        assert (record.results["n_bound"], record.results["resonance_flag"]) == (n_bound, 0)
+        assert 1e-3 < abs(record.results["resonance_evidence"]) < 1e-2
+        assert record.residuals["levinson"] <= 1e-2
 
     def test_scan_narrow_well_exits_0(self):
         # half-width 0.5: depth 10 lies just above the resonance pi^2

@@ -24,7 +24,6 @@ from opindex.scattering import (
     find_resonant_depth,
     levinson_check,
     phase_winding,
-    resonance_detect,
     scattering_matrix,
     transfer_matrices,
     witten_index_sigma,
@@ -34,6 +33,7 @@ from oracles import (
     dirichlet_bound_states,
     dirichlet_negative_count,
     dirichlet_negative_count_full,
+    resonance_detect,
     resonant_depth_brentq,
     rk4_transfer,
     square_well_bound_count,
@@ -506,6 +506,8 @@ class TestPhaseWinding:
 
 
 class TestResonanceDetection:
+    # the |t(0)| fit of the oracle on the head of the curve; the library
+    # reads the flag from the zero-energy solution (TestLevinson)
     def test_free_line_is_resonant(self):
         # t == 1 identically: the flat threshold is a half-bound state
         flag, evidence = resonance_detect(scattering_matrix(Potential.free()))
@@ -614,8 +616,8 @@ class TestLevinson:
         assert resonant.n_bound == 1
 
     def test_one_transfer_sweep_per_well(self, monkeypatch):
-        # the curve is the only sweep: the bound-state count runs on the
-        # slab runs at k = 0, the resonance flag on the curve head
+        # the curve is the only sweep: the bound-state count and the
+        # resonance flag run on the slab runs at k = 0
         sweep = scattering.transfer_matrices
         calls = []
 
@@ -628,6 +630,24 @@ class TestLevinson:
         assert len(report.curve.k_samples) == len(scattering.K_GRID)  # unrefined
         assert calls == [len(scattering.K_GRID)]
         assert report.accepted and report.n_bound == 1
+
+    @pytest.mark.parametrize("make_well", [
+        pytest.param(Potential.free, id="free"),
+        *(pytest.param(lambda d=d: Potential.square_well(d, 1.0), id=f"depth-{d:g}")
+          for d in (0.5, 1.0, 2.0, 5.0, 10.0, 25.0)),
+        *(pytest.param(lambda a=a: Potential.square_well(find_resonant_depth(a), a),
+                       id=f"resonant-{a:g}")
+          for a in (0.5, 1.0, 1.5, 2.0)),
+    ])
+    def test_flag_agrees_with_transmission_fit(self, make_well):
+        # the oracle's |t(0)| fit is conclusive on the free line, the scan
+        # depths and the first resonance of four widths; the zero-energy
+        # pass reads the same flag there
+        report = levinson_check(make_well())
+        flag, _ = resonance_detect(report.curve)
+        assert report.resonance_flag == flag
+        assert report.accepted
+        assert (abs(report.resonance_evidence) <= scattering.HALF_BOUND_TOL) == (flag == 1)
 
     def test_report_carries_convention(self, levinson_reports):
         reports, _, _ = levinson_reports
