@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import scattering, toeplitz, witten
-from .constants import LEVINSON_MAX_RESIDUAL, conventions
+from .constants import HALF_BOUND_TOL, LEVINSON_MAX_RESIDUAL, conventions
 from .errors import (
     DomainError,
     InconclusiveError,
@@ -326,7 +326,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                               "resonance_evidence is psi'/psi of the zero-energy "
                               "solution at the right edge of the well; "
                               "resonance_flag is 1 exactly when its modulus is at "
-                              "most 1e-13 (HALF_BOUND_TOL), a half-bound state.")
+                              f"most {HALF_BOUND_TOL:g} (HALF_BOUND_TOL), a "
+                              "half-bound state.")
     p.add_argument("--well-depth", type=_finite_float, default=2.0)
     p.add_argument("--well-width", type=_finite_float, default=1.0)
     p.add_argument("--max-residual", type=_finite_float, default=LEVINSON_MAX_RESIDUAL)

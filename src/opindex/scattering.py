@@ -58,7 +58,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -96,9 +95,7 @@ K_GRID.setflags(write=False)
 # potentials
 
 
-# compared and hashed by identity, whatever the evaluator, so that the
-# zero-energy pass can keep its last potential
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Potential:
     """Real potential with certified compact (or fast-decaying) support."""
 
@@ -369,10 +366,6 @@ def bound_states(v: Potential) -> int:
     return _zero_energy_pass(v)[0]
 
 
-# the last pass is kept, so that levinson_check reads the count through
-# bound_states, a name perfbench/layers.py times, and the threshold from
-# the same pass
-@lru_cache(maxsize=1)
 def _zero_energy_pass(v: Potential) -> tuple[int, int, float]:
     """(N, M_R(0), psi'/psi at the right edge of the support), from one pass.
 
@@ -546,13 +539,19 @@ class LevinsonReport:
 def levinson_check(v: Potential) -> LevinsonReport:
     """Balance the bound-state count against the phase winding.
 
-    N and the resonance flag come from one zero-energy pass over the slab
+    N and the resonance flag come from the zero-energy pass over the slab
     model of V (:func:`bound_states`), the winding from the scattering curve
     on K_GRID; the report is accepted when the residual stays below
     LEVINSON_MAX_RESIDUAL.  The curve is returned in the report, so that the
-    corrected index of the same well reads the same samples.
+    corrected index of the same well reads the same samples.  A threshold
+    whose scale |psi'/psi| lies far below K_GRID[0], a level bound by
+    almost nothing or a virtual state just below a resonance, is flagged
+    exactly, but the winding misses its phase step and the report is
+    refused with a residual near 1/2.
     """
     curve = scattering_matrix(v)
+    # N through bound_states, the name perfbench/layers.py counts; the flag
+    # from the same scalar pass run again, about 15 us on a square well
     n = bound_states(v)
     _, flag, evidence = _zero_energy_pass(v)
     winding = phase_winding(curve)

@@ -18,6 +18,7 @@ import scipy.linalg
 import opindex
 from opindex import scattering, toeplitz, witten
 from opindex.cli import COMMANDS, ResultRecord, main, parse_config, run
+from opindex.constants import HALF_BOUND_TOL
 
 
 def test_public_names_are_used_by_the_library():
@@ -463,17 +464,43 @@ class TestExitCodes:
         assert record.results["resonance_evidence"] == pytest.approx(-9.9e-5, rel=0.01)
         assert record.residuals["levinson"] == pytest.approx(0.47, abs=0.01)
 
-    @pytest.mark.parametrize("depth, n_bound", [(2.46, 1), (2.475, 2), (22.2, 3)])
+    @pytest.mark.parametrize("depth, n_bound", [
+        (2.46, 1), (2.475, 2), (9.86, 2), (9.88, 3), (22.2, 3), (22.21, 4), (39.47, 4),
+    ])
     def test_threshold_near_resonance_exits_0(self, depth, n_bound):
-        # within 1e-2 of the resonances (pi / 2)^2 and (3 pi / 2)^2 the
-        # threshold scale |psi'/psi| lies inside k in [1e-3, 1e-2], where a
-        # fit of |t(k)| read a guard band (2.46, 2.475) or a half-bound
-        # state (22.2); the zero-energy solution reads a generic threshold
+        # within 1e-2 of the resonances (n pi / 2)^2, n = 1 to 4, the
+        # threshold scale |psi'/psi| lies about inside k in [1e-3, 1e-2],
+        # where a fit of |t(k)| read a guard band (2.46, 2.475, 9.86, 9.88,
+        # 39.47) or a half-bound state (22.2, 22.21); the zero-energy
+        # solution reads a generic threshold
         record, code = run(parse_config(["levinson", "--well-depth", str(depth)]))
         assert code == 0
         assert (record.results["n_bound"], record.results["resonance_flag"]) == (n_bound, 0)
-        assert 1e-3 < abs(record.results["resonance_evidence"]) < 1e-2
-        assert record.residuals["levinson"] <= 1e-2
+        assert 1e-3 < abs(record.results["resonance_evidence"]) < 2e-2
+
+    @pytest.mark.parametrize("depth, n_bound", [
+        (2.4674, 1), (2.4674011, 1), (9.8696, 2), (22.2066, 3),
+    ])
+    def test_virtual_state_below_curve_resolution_exits_1(self, depth, n_bound):
+        # just below the resonances (pi / 2)^2, pi^2 and (3 pi / 2)^2 the
+        # threshold is generic, a virtual state (psi'/psi > 0), but its
+        # scale lies below the curve's k >= 1e-3, where the winding reads a
+        # half-bound state (ROADMAP item 11); a fit of |t(k)| on that range
+        # read one too, and the balance held
+        record, code = run(parse_config(["levinson", "--well-depth", str(depth)]))
+        assert code == 1
+        assert (record.results["n_bound"], record.results["resonance_flag"]) == (n_bound, 0)
+        assert HALF_BOUND_TOL < record.results["resonance_evidence"] < 1e-5
+        assert record.residuals["levinson"] == pytest.approx(0.5, abs=0.01)
+
+    def test_scan_virtual_state_below_curve_resolution_exits_1(self):
+        # 2.7e-10 below the located resonance: the same unresolved virtual
+        # state, on the row before the resonant one
+        record, code = run(parse_config(["scan", "--depths", "2.4674011"]))
+        assert code == 1
+        rows = record.curves["scan"]["rows"]
+        assert [row[3] for row in rows] == [0, 1]  # resonance_flag
+        assert rows[0][4] == pytest.approx(0.5, abs=0.01)
 
     def test_scan_narrow_well_exits_0(self):
         # half-width 0.5: depth 10 lies just above the resonance pi^2
