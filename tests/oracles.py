@@ -3,7 +3,8 @@
 Each function here recomputes a quantity by a route structurally different
 from the library implementation: series/Pade matrix exponentials and the
 heat operator assembled from eigenmodes, RK4 ODE stepping, the
-slab-by-slab transfer sweep, analytic two-interface matching,
+slab-by-slab complex transfer sweep, analytic two-interface matching,
+the corrected-symbol winding from 2x2 stack products of S and sigma^*,
 transcendental root counting, finite-difference Sturm counts of the
 negative Dirichlet eigenvalues in a box (the bound-state oracle),
 Gauss-Legendre quadrature of the heat-trace s-integral over the full
@@ -29,7 +30,7 @@ from scipy.optimize import brentq
 from opindex import scattering
 from opindex.errors import DomainError, InconclusiveError, RangeError
 from opindex.linalg import herm_eig
-from opindex.scattering import Potential, _amplitude_frames, _mul2, _slab_propagators
+from opindex.scattering import Potential
 
 SVD_RANK_TOL = 1e-7  # singular values below this count as zero
 RESONANCE_THRESHOLD = 0.1  # extrapolated |t(0)| above this: resonance
@@ -128,13 +129,14 @@ def rk4_transfer(v, k: float, step: float = 0.002) -> np.ndarray:
 
 
 def transfer_matrices_slabwise(v, k: np.ndarray, step: float = 0.01) -> np.ndarray:
-    """Transfer matrices by one propagator per midpoint slab, no run merging.
+    """Transfer matrices by one complex propagator per midpoint slab.
 
     The sweep the library ran before it merged runs of equal midpoint
-    values: the same slab grid, each slab composed on its own, in the same
-    left-to-right order and with the library's 2x2 product, so a potential
-    with no two equal neighbouring midpoints gives the library's result bit
-    for bit.
+    values and read T in closed form: on the library's slab grid, each slab
+    composed on its own as a complex (psi, psi') propagator with
+    q = sqrt(k^2 - V + 0j), a free stretch of length 1 on each side of the
+    support, and the plane-wave frames at -a - 1 and a + 1, all multiplied
+    with numpy's matmul.
     """
     k = np.asarray(k, dtype=float)
     a = v.support_radius
@@ -142,14 +144,42 @@ def transfer_matrices_slabwise(v, k: np.ndarray, step: float = 0.01) -> np.ndarr
     h_in = 2.0 * a / n_in
     v_mid = np.asarray(v.evaluator(-a + h_in * (np.arange(n_in) + 0.5)), dtype=float)
     k2 = k * k
-    chain = _slab_propagators(np.sqrt(k2 + 0j), 1.0)
+
+    def propagator(q, h):
+        c = np.cos(q * h)
+        s = np.where(np.abs(q) > 1e-30, np.sin(q * h) / np.where(q == 0, 1.0, q), h)
+        return np.stack([np.stack([c, s], -1), np.stack([-q * q * s, c], -1)], -2)
+
+    def frame(x):
+        ep, em = np.exp(1j * k * x), np.exp(-1j * k * x)
+        return np.stack([np.stack([ep, em], -1),
+                         np.stack([1j * k * ep, -1j * k * em], -1)], -2)
+
+    free = propagator(np.sqrt(k2 + 0j), 1.0)
+    chain = free
     for vm in v_mid:
-        q = np.sqrt(k2 - vm + 0j)
-        chain = _mul2(_slab_propagators(q, h_in), chain)
-    chain = _mul2(_slab_propagators(np.sqrt(k2 + 0j), 1.0), chain)
-    frame_left, _ = _amplitude_frames(-a - 1.0, k)
-    _, inv_right = _amplitude_frames(a + 1.0, k)
-    return _mul2(_mul2(inv_right, chain), frame_left)
+        chain = propagator(np.sqrt(k2 - vm + 0j), h_in) @ chain
+    chain = free @ chain
+    return np.linalg.solve(frame(a + 1.0), chain @ frame(-a - 1.0))
+
+
+def corrected_symbol_winding(lcurve, sigma) -> float:
+    """Winding number of det(S sigma^*) along the log-energy line, by stacks.
+
+    The route the library took before it read det sigma in closed form:
+    sigma evaluated on the curve samples and on 200 geometric tail points
+    out to |lambda| = 1e9 at each end, S sigma^* multiplied as 2x2 stacks
+    with numpy's matmul, and each determinant taken from its matrix.  Out
+    in the tails S is held at its limit.
+    """
+    tail_lo = -np.geomspace(1e9, abs(lcurve.lam[0]), 200)
+    tail_hi = np.geomspace(lcurve.lam[-1], 1e9, 200)
+    s = np.concatenate([np.broadcast_to(lcurve.s_minus_inf, (200, 2, 2)),
+                        lcurve.s_matrices,
+                        np.broadcast_to(lcurve.s_plus_inf, (200, 2, 2))])
+    sig = sigma.evaluator(np.concatenate([tail_lo, lcurve.lam, tail_hi]))
+    phi = np.unwrap(np.angle(np.linalg.det(s @ sig.conj().swapaxes(-1, -2))))
+    return float((phi[-1] - phi[0]) / (2.0 * np.pi))
 
 
 def square_well_bound_count(depth: float, half_width: float = 1.0) -> int:
@@ -297,7 +327,7 @@ def resonant_depth_brentq(half_width: float) -> float:
     def entry(depth: float) -> float:
         well = Potential.square_well(depth, half_width)
         chain = scattering._slab_chain(well, np.zeros(1), scattering.SLAB_STEP)
-        return float(chain[0, 1, 0].real)
+        return float(chain[0, 1, 0])
 
     quarter = math.pi / (4.0 * half_width)
     eps = np.finfo(float)

@@ -502,6 +502,23 @@ class TestExitCodes:
         assert [row[3] for row in rows] == [0, 1]  # resonance_flag
         assert rows[0][4] == pytest.approx(0.5, abs=0.01)
 
+    @pytest.mark.parametrize("argv", [
+        ["corrected-index", "--well-depth", "2.46"],
+        ["corrected-index", "--well-depth", "2.475"],
+        ["corrected-index", "--well-depth", "22.2"],
+        ["corrected-index", "--well-depth", "22.21"],
+        ["scan", "--depths", "2.46"],
+    ], ids=["ci-2.46", "ci-2.475", "ci-22.2", "ci-22.21", "scan-2.46"])
+    def test_unfit_threshold_limit_exits_1(self, argv):
+        # near a resonance the head of the curve has not settled to
+        # +-diag(1, -1), so no sigma branch fits the fitted limit of S: a
+        # limit the library computed, a failed construction, not a usage
+        # error (ROADMAP item 16 replaces the fit)
+        record, code = run(parse_config(argv))
+        assert code == 1
+        assert record.results["error_kind"] == "ConstructionError"
+        assert record.results["error"].startswith("fitted threshold limit of S")
+
     def test_scan_narrow_well_exits_0(self):
         # half-width 0.5: depth 10 lies just above the resonance pi^2
         record, code = run(parse_config(["scan", "--well-width", "0.5"]))

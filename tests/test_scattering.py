@@ -1,12 +1,14 @@
 """Scattering checks: transfer matrices, bound states, phase balance, sigma."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from opindex import scattering
+from opindex.constants import WINDING_SIGN
 from opindex.errors import (
     DomainError,
     InconclusiveError,
@@ -30,6 +32,7 @@ from opindex.scattering import (
 )
 
 from oracles import (
+    corrected_symbol_winding,
     dirichlet_bound_states,
     dirichlet_negative_count,
     dirichlet_negative_count_full,
@@ -80,12 +83,12 @@ class TestTransferMatrix:
         assert abs(det - 1.0) <= 1e-8
 
     def test_wrong_propagator_trips_chain_det_check(self, monkeypatch):
-        # flipping the sign of the [1, 0] entry, -q sin(q h), makes every
-        # slab's det cos(2 q h) instead of 1
+        # flipping the sign of the [1, 0] entry, -q^2 sin(q h) / q, makes
+        # every slab's det cos(2 q h) instead of 1
         exact = scattering._slab_propagators
 
-        def flipped(q, h):
-            out = exact(q, h)
+        def flipped(q2, h):
+            out = exact(q2, h)
             out[..., 1, 0] *= -1.0
             return out
 
@@ -94,8 +97,8 @@ class TestTransferMatrix:
             transfer_matrices(WELL, np.geomspace(1e-3, 40.0, 16))
 
     def test_deep_well_passes_chain_det_check(self):
-        # at k = 1e-3, the head of K_GRID, det T drifts 1.1e-8 through the
-        # 1/(ik) of the amplitude frame, while the integrated (psi, psi')
+        # at k = 1e-3, the head of K_GRID, det T drifts 7.5e-9 through the
+        # w10 / k of its closed form, while the integrated (psi, psi')
         # chain stays at rounding, and S is unitary to rounding
         deep = Potential.square_well(100.0, 1.0)
         t = transfer_matrices(deep, scattering.K_GRID)
@@ -126,16 +129,44 @@ class TestTransferMatrix:
 
     @pytest.mark.parametrize("depth, half_width", [(2.0, 1.0), (9.0, 0.7), (0.3, 3.0)])
     def test_zero_energy_chain_closed_form(self, depth, half_width):
-        # at k = 0 a free stretch of length 1 propagates (psi, psi') by
-        # [[1, 1], [0, 1]], and the well by its q = sqrt(depth) propagator
+        # the chain spans the support only: at k = 0 a square well is one
+        # real slab, propagated by its q = sqrt(depth) propagator
         q = np.sqrt(depth)
         qh = 2.0 * half_width * q
-        free = np.array([[1.0, 1.0], [0.0, 1.0]])
         well = np.array([[np.cos(qh), np.sin(qh) / q], [-q * np.sin(qh), np.cos(qh)]])
         chain = scattering._slab_chain(
             Potential.square_well(depth, half_width), np.zeros(1), 0.01
         )[0]
-        assert np.max(np.abs(chain - free @ well @ free)) <= 1e-13
+        assert chain.dtype == np.float64
+        assert np.max(np.abs(chain - well)) <= 1e-13
+
+    def test_overflowing_barrier_names_the_non_finite_chain(self):
+        # cosh(1000 * 2) overflows: the chain holds inf and nan, which the
+        # Wronskian check must refuse by name, also through the curve
+        barrier = Potential(
+            evaluator=lambda x: np.where(np.abs(np.asarray(x, dtype=float)) < 1.0,
+                                         1e6, 0.0),
+            support_radius=1.0,
+        )
+        with pytest.raises(IntegrationError, match="not finite"):
+            transfer_matrices(barrier, np.array([0.5, 1.0]))
+        with pytest.raises(IntegrationError, match="not finite"):
+            scattering_matrix(barrier)
+
+    def test_hyperbolic_functions_only_on_evanescent_entries(self):
+        # q h = 4000 on the oscillatory entry, where cosh would overflow; the
+        # evanescent entry takes cosh(4) and sinh(4) / 2
+        q2 = np.array([4e6, -4.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            prop = scattering._slab_propagators(q2, 2.0)
+        assert prop.dtype == np.float64
+        assert np.allclose(prop[:, 0, 0], [np.cos(4000.0), np.cosh(4.0), 1.0],
+                           rtol=1e-14, atol=0.0)
+        assert np.allclose(prop[:, 0, 1], [np.sin(4000.0) / 2000.0, np.sinh(4.0) / 2.0, 2.0],
+                           rtol=1e-14, atol=0.0)
+        assert np.array_equal(prop[:, 1, 0], -q2 * prop[:, 0, 1])
+        assert np.array_equal(prop[:, 1, 1], prop[:, 0, 0])
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -216,7 +247,7 @@ class TestKernels:
 
 
 class TestMergedSweep:
-    """One slab per run of equal midpoint values against the per-slab sweep."""
+    """The merged real chain and closed-form T against the per-slab sweep."""
 
     K = np.geomspace(1e-3, 2000.0, 200)
 
@@ -225,6 +256,18 @@ class TestMergedSweep:
         scale = np.max(np.abs(reference), axis=(1, 2))
         return float(np.max(np.max(np.abs(t - reference), axis=(1, 2)) / scale))
 
+    @staticmethod
+    def unmerged_chain(v, k2, step=0.01):
+        """The library's real chain over [-a, a], one propagator per slab."""
+        a = v.support_radius
+        n_in = max(2, int(round(2.0 * a / step)))
+        h_in = 2.0 * a / n_in
+        chain = None
+        for vm in v.evaluator(-a + h_in * (np.arange(n_in) + 0.5)):
+            slab = scattering._slab_propagators(k2 - vm, h_in)
+            chain = slab if chain is None else _mul2(slab, chain)
+        return chain
+
     @pytest.mark.parametrize("depth", [0.5, 2.0, 25.0, 60.0])
     def test_square_well_matches_slabwise_and_analytic(self, depth):
         well = Potential.square_well(depth, 1.0)
@@ -232,6 +275,14 @@ class TestMergedSweep:
         analytic = np.array([square_well_transfer(depth, 1.0, k) for k in self.K])
         assert self.rel_gap(ours, transfer_matrices_slabwise(well, self.K)) <= 1e-12
         assert self.rel_gap(ours, analytic) <= 1e-12
+
+    def test_deep_well_at_curve_head_matches_slabwise_and_analytic(self):
+        # depth 100 at k = 1e-3, where w10 / k magnifies the chain 1000-fold
+        well = Potential.square_well(100.0, 1.0)
+        k = np.array([1e-3])
+        ours = transfer_matrices(well, k)
+        assert self.rel_gap(ours, transfer_matrices_slabwise(well, k)) <= 1e-12
+        assert self.rel_gap(ours, square_well_transfer(100.0, 1.0, 1e-3)[None]) <= 1e-12
 
     def test_two_level_step_matches_slabwise(self):
         # runs of 80 and 120 slabs, one attractive and one repulsive, so both
@@ -246,7 +297,8 @@ class TestMergedSweep:
 
     def test_smooth_potential_is_bitwise_slabwise(self):
         # no two neighbouring midpoints share a value, so nothing merges and
-        # the product runs in the per-slab order
+        # the real chain runs in the per-slab order, bit for bit; T is then
+        # the per-slab complex sweep's to rounding
         def tilted_bump(x):
             x = np.asarray(x, dtype=float)
             bump = -1.5 * np.cos(np.pi * x / 2.0) ** 2 * (1.0 + 0.3 * x)
@@ -255,10 +307,13 @@ class TestMergedSweep:
         smooth = Potential(evaluator=tilted_bump, support_radius=1.0)
         mids = -1.0 + 0.01 * (np.arange(200) + 0.5)
         assert np.all(np.diff(tilted_bump(mids)) != 0.0)
+        k2 = self.K * self.K
         assert np.array_equal(
-            transfer_matrices(smooth, self.K),
-            transfer_matrices_slabwise(smooth, self.K),
+            scattering._slab_chain(smooth, k2, 0.01),
+            self.unmerged_chain(smooth, k2),
         )
+        ours = transfer_matrices(smooth, self.K)
+        assert self.rel_gap(ours, transfer_matrices_slabwise(smooth, self.K)) <= 1e-12
 
 
 class TestSturmCount:
@@ -778,6 +833,29 @@ class TestSigmaFactor:
             assert np.array_equal(stacked, np.array([f(float(l)) for l in lam]))
             assert f(0.7).shape == (2, 2)
 
+    @pytest.mark.parametrize("limit", [
+        np.eye(2), np.diag([1.0, -1.0]), np.diag([-1.0, 1.0]),
+        np.diag([np.exp(-1j * np.pi / 3), np.exp(1j * np.pi / 3)]),
+        np.diag([np.exp(-0.05j), np.exp(0.05j)]),
+        np.diag([np.exp(-3.0j), np.exp(3.0j)]),
+        -np.eye(2),
+        np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]])
+        @ np.diag([np.exp(-0.8j), np.exp(0.8j)])
+        @ np.array([[np.cos(0.4), np.sin(0.4)], [-np.sin(0.4), np.cos(0.4)]]),
+    ], ids=["trivial", "hot-slot-1", "hot-slot-0", "general-pi/3", "general-0.05",
+            "general-3", "general-pi", "general-rotated-0.8"])
+    def test_closed_form_det_matches_evaluator(self, limit):
+        # det sigma = exp(i sum(weights) (arctan lambda - pi/2)) on every
+        # branch, against the determinant of the evaluated matrix
+        sigma = build_sigma(np.asarray(limit, dtype=complex))
+        lam = np.geomspace(1e-3, 1e9, 120)
+        lam = np.concatenate((-lam[::-1], lam))
+        closed = sigma.det(lam)
+        stacked = sigma.evaluator(lam)
+        assert closed.shape == lam.shape
+        assert np.max(np.abs(closed - scattering._det2(stacked))) <= 4 * np.finfo(float).eps
+        assert sigma.det(0.7).shape == ()
+
     def test_non_unitary_input_rejected(self):
         with pytest.raises(DomainError):
             build_sigma(np.diag([1.0, 0.5]).astype(complex))
@@ -804,6 +882,18 @@ class TestCorrectedIndex:
         reports, _ = corrected_reports
         for key, (report, _) in reports.items():
             assert report.fredholm_index == bound_counts[key], f"well {key}"
+
+    def test_index_matches_stack_product_oracle(self, corrected_reports,
+                                                scan_curves, resonant_curve):
+        # det S conj(det sigma) against det(S sigma^*) from the evaluated
+        # sigma, on every scan well and the resonant one
+        reports, _ = corrected_reports
+        for key, curve in {**scan_curves, "resonant": resonant_curve}.items():
+            report, sigma = reports[key]
+            winding = corrected_symbol_winding(exp_resample(curve), sigma)
+            # the library's own integrality gate
+            assert abs(winding - round(winding)) <= 0.05, f"well {key}"
+            assert report.fredholm_index == WINDING_SIGN * round(winding), f"well {key}"
 
     def test_decomposition_sums_to_index(self, corrected_reports):
         reports, _ = corrected_reports
