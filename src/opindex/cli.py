@@ -597,7 +597,7 @@ def _run_levinson(p: dict, rec: ResultRecord) -> int:
     )
     rec.residuals["levinson"] = report.residual
     curve = report.curve
-    dets = curve.det()
+    dets = curve.dets
     rec.curves["scattering"] = _curve(
         ("k", "det_re", "det_im", "unitarity_residual"),
         zip(curve.k_samples, dets.real, dets.imag, curve.unitarity_residuals),

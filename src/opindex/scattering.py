@@ -4,7 +4,8 @@ Units are hbar = 2m = 1, so the free Hamiltonian is -d^2/dx^2 and energy is
 k^2.  Scattering matrices are assembled from transfer matrices of the
 midpoint-sampled, piecewise-constant potential on a fixed step: each run of
 equal sampled values is one slab of constant coefficient, composed through
-its exact propagator over the whole run.  The propagators act on
+its exact propagator over the whole run.  Each Potential samples this slab
+model once, when it is built, for every sweep.  The propagators act on
 (psi, psi') and are real, so the sweep runs in real arithmetic over the
 support [-a, a], and T on plane-wave amplitudes is read from that chain in
 closed form.  Each slab factor conserves the Wronskian exactly, so
@@ -45,7 +46,8 @@ energies up to 1e3 besides, which any k_max above 32 covers.
 The sweep works on stacks of 2x2 matrices, one per k sample, and
 multiplies them entry by entry: the real slab chain, the unitarity Gram
 matrix and the parity rotation; S sigma^* is never formed, as its
-determinant is det S conj(det sigma), a closed form.  On a few hundred
+determinant is det S conj(det sigma), a closed form, whose phase beyond the
+sampled window, where S sits at its limits, is closed too.  On a few hundred
 samples that costs a fraction of a 2x2-stack einsum, whose dispatch
 dominates at this size.  The straight lines the curve is read through (the
 head and tail of the winding, the threshold limit of S) are least-squares
@@ -55,7 +57,8 @@ The resonant well depth is found at k = 0 itself, where no plane-wave
 amplitude (no 1/k) enters: a half-bound state is a zero-energy solution
 bounded at both ends, so constant outside the well, and it exists exactly
 when the psi' entry of the zero-energy (psi, psi') slab chain started from
-(psi, psi') = (1, 0) vanishes.  The depth is the simple root of that entry.
+(psi, psi') = (1, 0) vanishes.  The depth is the simple root of that entry,
+taken on the unit-depth well's slab model scaled by the depth.
 """
 
 from __future__ import annotations
@@ -86,6 +89,8 @@ from .errors import (
 from .linalg import line_integral
 
 _HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0)
+_EYE2 = np.eye(2, dtype=complex)
+_EYE2.setflags(write=False)
 # slab width of the transfer sweep, the one k grid every curve starts from,
 # and the most k nodes a refined curve holds
 SLAB_STEP = 0.01
@@ -101,26 +106,34 @@ K_GRID.setflags(write=False)
 
 @dataclass(frozen=True)
 class Potential:
-    """Real potential with certified compact (or fast-decaying) support."""
+    """Real potential with certified compact (or fast-decaying) support.
+
+    ``slabs`` is the slab model of V at SLAB_STEP (:func:`_slab_runs`),
+    sampled once here; every sweep and zero-energy pass at that step reads it.
+    """
 
     evaluator: Callable[[np.ndarray], np.ndarray]
     support_radius: float
+    slabs: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.support_radius <= 0:
+        if not self.support_radius > 0:
             raise DomainError("support radius must be positive")
+        if self.support_radius == math.inf:
+            raise DomainError("support radius must be finite")
         probe = np.linspace(self.support_radius, 3.0 * self.support_radius, 7)[1:]
         tail = np.max(np.abs(np.asarray(self.evaluator(probe), dtype=float)))
         if tail > 1e-12:
             raise DomainError(
                 f"potential does not vanish beyond its support radius: {tail:.2e}"
             )
+        object.__setattr__(self, "slabs", _slab_runs(self, SLAB_STEP))
 
     @classmethod
     def square_well(cls, depth: float, half_width: float = 1.0) -> "Potential":
         """Attractive square well V(x) = -depth on |x| < half_width."""
-        if depth < 0:
-            raise DomainError("well depth must be non-negative")
+        if not 0.0 <= depth < math.inf:
+            raise DomainError("well depth must be non-negative and finite")
 
         def v(x):
             x = np.asarray(x, dtype=float)
@@ -217,19 +230,19 @@ def _slab_runs(v: Potential, step: float) -> tuple[np.ndarray, np.ndarray]:
     return v_mid[bounds[:-1]], np.diff(bounds) * h_in
 
 
-def _slab_chain(v: Potential, k2: np.ndarray, step: float) -> np.ndarray:
+def _slab_chain(runs: tuple[np.ndarray, np.ndarray], k2: np.ndarray) -> np.ndarray:
     """Batched real (psi, psi') propagators over [-a, a] for energies k^2 >= 0.
 
-    Each run of :func:`_slab_runs` is one slab of constant q^2 = k^2 - V,
-    whose exact propagator over the whole run equals the product of its
-    per-slab propagators, so a square well is one slab at any step; the
-    free line outside needs none.  The chain must be finite and keep its
-    Wronskian, |det - 1| within TRANSFER_DET_TOL.
+    Each of the runs (values, widths) of :func:`_slab_runs` is one slab of
+    constant q^2 = k^2 - V, whose exact propagator over the whole run equals
+    the product of its per-slab propagators, so a square well is one slab at
+    any step; the free line outside needs none.  The chain must be finite
+    and keep its Wronskian, |det - 1| within TRANSFER_DET_TOL.
     """
     chain = None
     # an overflowing barrier yields inf or nan, which the check below names
     with np.errstate(over="ignore", invalid="ignore"):
-        for vm, width in zip(*_slab_runs(v, step)):
+        for vm, width in zip(*runs):
             slab = _slab_propagators(k2 - vm, width)
             chain = slab if chain is None else _mul2(slab, chain)
         drift = np.abs(_det2(chain) - 1.0)
@@ -255,9 +268,9 @@ def transfer_matrices(v: Potential, k: np.ndarray, step: float = SLAB_STEP) -> n
     on a depth-100 well.
     """
     k = np.asarray(k, dtype=float)
-    if np.any(k <= 0):
-        raise DomainError("wavenumbers must be strictly positive")
-    w = _slab_chain(v, k * k, step)
+    if not np.all((k > 0) & (k < math.inf)):
+        raise DomainError("wavenumbers must be strictly positive and finite")
+    w = _slab_chain(v.slabs if step == SLAB_STEP else _slab_runs(v, step), k * k)
     w00, w01, w10, w11 = w[..., 0, 0], w[..., 0, 1], w[..., 1, 0], w[..., 1, 1]
     kw, wk = k * w01, w10 / k
     phase = np.exp(2j * v.support_radius * k)
@@ -289,19 +302,17 @@ def _s_from_transfer(t_mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringCurve:
-    """S(k) sampled along an ascending positive wavenumber grid."""
+    """S(k) sampled along an ascending positive wavenumber grid, with det S(k)."""
 
     k_samples: np.ndarray
     s_matrices: np.ndarray = field(repr=False)
+    dets: np.ndarray = field(repr=False)
     unitarity_residuals: np.ndarray = field(repr=False)
-
-    def det(self) -> np.ndarray:
-        return _det2(self.s_matrices)
 
 
 def _unitarity_residuals(s: np.ndarray) -> np.ndarray:
     gram = _mul2(s.conj().swapaxes(-1, -2), s)
-    return np.max(np.abs(gram - np.eye(2)), axis=(1, 2))
+    return np.max(np.abs(gram - _EYE2), axis=(1, 2))
 
 
 def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCurve:
@@ -317,7 +328,8 @@ def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCu
 
     for _ in range(12):
         s = _s_from_transfer(transfer_matrices(v, k))
-        args = np.angle(_det2(s))
+        dets = _det2(s)
+        args = np.angle(dets)
         incr = np.abs((np.diff(args) + np.pi) % (2 * np.pi) - np.pi)
         bad = np.nonzero(incr > np.pi / 4)[0]
         if len(bad) == 0:
@@ -336,7 +348,8 @@ def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCu
         raise IntegrationError(
             f"unitarity residual {worst:.2e} above {S_UNITARITY_TOL:.1e}"
         )
-    return ScatteringCurve(k_samples=k, s_matrices=s, unitarity_residuals=resid)
+    return ScatteringCurve(k_samples=k, s_matrices=s, dets=dets,
+                           unitarity_residuals=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -371,7 +384,7 @@ def _zero_energy_pass(v: Potential) -> tuple[int, int, float]:
     """
     psi, dpsi = 1.0, 0.0
     zeros = 0
-    for vm, width in zip(*(run.tolist() for run in _slab_runs(v, SLAB_STEP))):
+    for vm, width in zip(*(run.tolist() for run in v.slabs)):
         if vm < 0.0:
             q = math.sqrt(-vm)
             c, s = math.cos(q * width), math.sin(q * width)
@@ -420,7 +433,7 @@ def phase_winding(curve: ScatteringCurve) -> float:
     by delta_inf + c / k.
     """
     k = curve.k_samples
-    phi = _unwrapped_args(curve.det())
+    phi = _unwrapped_args(curve.dets)
     head = min(8, max(3, len(k) // 20))
     _, delta0 = _line_fit(k[:head], phi[:head])
     tail_mask = k >= 0.5 * k[-1]
@@ -438,15 +451,15 @@ def find_resonant_depth(half_width: float = 1.0) -> float:
     slab chain over the support, found by Brent's method to rounding.  For
     the well of depth D and half-width a that entry is
     -sqrt(D) sin(2 a sqrt(D)), so the bracket ((pi / 4a)^2, (3 pi / 4a)^2)
-    holds one sign change, at the first resonance (pi / 2a)^2.
+    holds one sign change, at the first resonance (pi / 2a)^2.  The slab
+    model of a square well is -D on every run, exactly D times that of the
+    unit-depth well, so each step scales the one unit-depth model.
     """
-    if half_width <= 0:
-        raise DomainError("support radius must be positive")
+    values, widths = Potential.square_well(1.0, half_width).slabs
     zero_energy = np.zeros(1)
 
     def entry(depth: float) -> float:
-        well = Potential.square_well(depth, half_width)
-        return float(_slab_chain(well, zero_energy, SLAB_STEP)[0, 1, 0])
+        return float(_slab_chain((depth * values, widths), zero_energy)[0, 1, 0])
 
     quarter = math.pi / (4.0 * half_width)
     eps = np.finfo(float)
@@ -611,7 +624,7 @@ def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
     _, limit = _line_fit(k[:head], s_par[:head])
 
     s_plus = s_par[-1]
-    if float(np.max(np.abs(s_plus - np.eye(2)))) > 0.05:
+    if float(np.max(np.abs(s_plus - _EYE2))) > 0.05:
         raise RangeError(
             "high-energy end of the curve is not close to the identity; "
             "extend the k grid"
@@ -667,7 +680,7 @@ class SigmaFactor:
 
 def _eye_stack(lam) -> np.ndarray:
     """The complex 2x2 identity repeated over the shape of lam."""
-    return np.tile(np.eye(2, dtype=complex), np.shape(lam) + (1, 1))
+    return np.tile(_EYE2, np.shape(lam) + (1, 1))
 
 
 def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
@@ -680,17 +693,17 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
     u = np.asarray(s_minus_infinity, dtype=complex)
     if u.shape != (2, 2):
         raise DomainError("threshold limit must be a 2x2 matrix")
-    if float(np.max(np.abs(u.conj().T @ u - np.eye(2)))) > 1e-8:
+    if float(np.max(np.abs(u.conj().T @ u - _EYE2))) > 1e-8:
         raise DomainError("threshold limit is not unitary to 1e-8")
     det = u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0]
 
-    if float(np.max(np.abs(u - np.eye(2)))) <= 1e-6:
+    if float(np.max(np.abs(u - _EYE2))) <= 1e-6:
         return SigmaFactor(
             branch="trivial",
             evaluator=_eye_stack,
-            frame=np.eye(2, dtype=complex),
+            frame=_EYE2,
             weights=np.zeros(2),
-            target_limit=np.eye(2, dtype=complex),
+            target_limit=_EYE2,
         )
 
     if abs(det + 1.0) <= 0.1:
@@ -712,8 +725,8 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
         return SigmaFactor(
             branch="antidiagonal-limit",
             evaluator=evaluator,
-            frame=np.eye(2, dtype=complex),
-            weights=np.eye(2)[hot],
+            frame=_EYE2,
+            weights=_EYE2.real[hot],
             target_limit=target,
         )
 
@@ -787,34 +800,37 @@ def corrected_index(lcurve: LambdaCurve, sigma: SigmaFactor) -> CorrectedIndexRe
 
     The corrected symbol has identity limits at both ends of the
     log-energy line (checked to 0.05), so its determinant winds an integer
-    number of times; the index is minus that winding.  The split reports
-    the raw det-S phase change as the pair index of (D, S^* D S) and the
-    closed-form sigma term; their sum must agree with the index.
+    number of times; the index is minus that winding.  det(S sigma^*) =
+    det S conj(det sigma) is unwrapped over the sampled window; beyond it
+    S sits at its (unitary) limits up to exponentially small terms, and the
+    phase moves with det sigma = exp(i W (arctan lambda - pi/2)) alone, by
+    -W (pi + arctan lambda_0 - arctan lambda_end) over the two tails, W =
+    sum(weights).  The split reports the raw det-S phase change as the pair
+    index of (D, S^* D S) and the closed-form sigma term; their sum must
+    agree with the index.
     """
     # Limits must match: sigma was built to hit the threshold limit exactly,
     # and the high-energy end of the curve is close to the identity, so the
     # corrected symbol approaches the identity at both ends of the line.
     ends = max(
         float(np.max(np.abs(sigma.target_limit - lcurve.s_minus_inf))),
-        float(np.max(np.abs(lcurve.s_plus_inf - np.eye(2)))),
+        float(np.max(np.abs(lcurve.s_plus_inf - _EYE2))),
     )
     if ends > 0.05:
         raise DomainError(
             f"corrected-symbol limits are {ends:.3f} away from matching; "
             "sigma does not fit the threshold limit of the curve"
         )
-    # The sigma factor converges only like 1/lambda, so the path of
-    # det(S sigma^*) = det S conj(det sigma) is continued beyond the sampled
-    # window, where S sits at its (unitary) limit up to exponentially small
-    # terms.
+    # sigma converges only like 1/lambda, so its tails count; the window is
+    # unwrapped with its two junction steps from and onto the limits of S
+    lam = lcurve.lam
     det_s = _det2(lcurve.s_matrices)
-    tail_lo = -np.geomspace(1e9, abs(lcurve.lam[0]), 200)
-    tail_hi = np.geomspace(lcurve.lam[-1], 1e9, 200)
-    lam = np.concatenate([tail_lo, lcurve.lam, tail_hi])
-    det_path = np.concatenate([np.full(200, _det2(lcurve.s_minus_inf)), det_s,
-                               np.full(200, _det2(lcurve.s_plus_inf))])
-    phi = _unwrapped_args(det_path * sigma.det(lam).conj())
-    winding = (phi[-1] - phi[0]) / (2.0 * np.pi)
+    det_path = np.concatenate(([_det2(lcurve.s_minus_inf)], det_s,
+                               [_det2(lcurve.s_plus_inf)]))
+    lam_path = np.concatenate((lam[:1], lam, lam[-1:]))
+    phi = _unwrapped_args(det_path * sigma.det(lam_path).conj())
+    tails = -float(sigma.weights.sum()) * (np.pi + np.arctan(lam[0]) - np.arctan(lam[-1]))
+    winding = (phi[-1] - phi[0] + tails) / (2.0 * np.pi)
     index = int(round(winding)) * WINDING_SIGN
     if abs(winding - round(winding)) > 0.05:
         raise UndersamplingError(

@@ -322,12 +322,15 @@ def closed_form_quad(profile) -> float:
 
 
 def resonant_depth_brentq(half_width: float) -> float:
-    """The library's resonant-depth bracket and tolerances, solved by brentq."""
+    """The library's resonant-depth bracket and tolerances, solved by brentq.
+
+    The route the library took before it scaled one unit-depth slab model:
+    a new well, with its own slab model, at every step.
+    """
 
     def entry(depth: float) -> float:
         well = Potential.square_well(depth, half_width)
-        chain = scattering._slab_chain(well, np.zeros(1), scattering.SLAB_STEP)
-        return float(chain[0, 1, 0])
+        return float(scattering._slab_chain(well.slabs, np.zeros(1))[0, 1, 0])
 
     quarter = math.pi / (4.0 * half_width)
     eps = np.finfo(float)

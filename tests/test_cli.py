@@ -710,6 +710,29 @@ class TestCommandResults:
         assert code == 0
         assert len(sampled) == calls
 
+    def test_one_slab_model_per_well(self, monkeypatch):
+        # each of scan's seven wells samples V for its slab model once, when
+        # it is built; the eighth model is the unit-depth well whose runs
+        # find_resonant_depth scales
+        sampled, swept = [], []
+        runs, sample = scattering._slab_runs, scattering.scattering_matrix
+
+        def runs_spy(v, step):
+            sampled.append(v)
+            return runs(v, step)
+
+        def curve_spy(v, *args, **kwargs):
+            swept.append(v)
+            return sample(v, *args, **kwargs)
+
+        monkeypatch.setattr(scattering, "_slab_runs", runs_spy)
+        monkeypatch.setattr(scattering, "scattering_matrix", curve_spy)
+        _, code = run(parse_config(["scan"]))
+        assert code == 0
+        assert len(swept) == 7
+        assert [sum(u is v for u in sampled) for v in swept] == [1] * 7
+        assert len(sampled) == 8
+
     def test_corrected_index_command(self):
         record, code = run(parse_config(["corrected-index", "--well-depth", "2"]))
         assert code == 0

@@ -14,9 +14,11 @@ from opindex.errors import (
     InconclusiveError,
     IntegrationError,
     RangeError,
+    UndersamplingError,
 )
 from opindex.scattering import (
     Potential,
+    SigmaFactor,
     _line_fit,
     _mul2,
     bound_states,
@@ -135,7 +137,7 @@ class TestTransferMatrix:
         qh = 2.0 * half_width * q
         well = np.array([[np.cos(qh), np.sin(qh) / q], [-q * np.sin(qh), np.cos(qh)]])
         chain = scattering._slab_chain(
-            Potential.square_well(depth, half_width), np.zeros(1), 0.01
+            Potential.square_well(depth, half_width).slabs, np.zeros(1)
         )[0]
         assert chain.dtype == np.float64
         assert np.max(np.abs(chain - well)) <= 1e-13
@@ -183,6 +185,30 @@ class TestTransferMatrix:
         ])
         assert np.max(np.abs(s.conj().T @ s - np.eye(2))) <= 1e-8
         assert abs(s[0, 0] - s[1, 1]) <= 1e-8  # transmission reciprocity
+
+
+class TestNonFiniteInputs:
+    """nan and inf are refused where the well is built, before any sampling."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_well_depth_refused(self, bad):
+        with pytest.raises(DomainError, match="well depth"):
+            levinson_check(Potential.square_well(bad, 1.0))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_support_radius_refused(self, bad):
+        with pytest.raises(DomainError, match="support radius"):
+            levinson_check(Potential.square_well(1.0, bad))
+        with pytest.raises(DomainError, match="support radius"):
+            find_resonant_depth(bad)
+        with pytest.raises(DomainError, match="support radius"):
+            transfer_matrices(Potential(evaluator=WELL.evaluator, support_radius=bad),
+                              np.array([1.0]))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_wavenumber_refused(self, bad):
+        with pytest.raises(DomainError, match="wavenumbers"):
+            transfer_matrices(WELL, np.array([1.0, bad]))
 
 
 class TestKernels:
@@ -309,7 +335,7 @@ class TestMergedSweep:
         assert np.all(np.diff(tilted_bump(mids)) != 0.0)
         k2 = self.K * self.K
         assert np.array_equal(
-            scattering._slab_chain(smooth, k2, 0.01),
+            scattering._slab_chain(smooth.slabs, k2),
             self.unmerged_chain(smooth, k2),
         )
         ours = transfer_matrices(smooth, self.K)
@@ -434,7 +460,7 @@ class TestScatteringCurve:
         coarse = np.geomspace(1e-3, 40.0, 24)
         curve = scattering_matrix(deep, coarse)
         assert len(curve.k_samples) > 24
-        args = np.angle(curve.det())
+        args = np.angle(curve.dets)
         incr = np.abs((np.diff(args) + np.pi) % (2 * np.pi) - np.pi)
         assert np.max(incr) <= np.pi / 4
 
@@ -530,6 +556,8 @@ class TestBoundStates:
             dirichlet_bound_states(well)
 
     def test_samples_v_at_slab_midpoints_only(self):
+        # the constructor probes the support and samples the slab model at
+        # the midpoints; the count and a sweep then read that model
         seen = []
 
         def spy(x):
@@ -537,11 +565,13 @@ class TestBoundStates:
             return WELL.evaluator(x)
 
         well = Potential(evaluator=spy, support_radius=1.0)
-        seen.clear()  # the support probe of the constructor
-        assert bound_states(well) == 1
         mids = -1.0 + 0.01 * (np.arange(200) + 0.5)
-        assert len(seen) == 1
-        assert np.array_equal(seen[0], mids)
+        assert len(seen) == 2
+        assert np.array_equal(seen[1], mids)
+        seen.clear()
+        assert bound_states(well) == 1
+        transfer_matrices(well, np.array([1.0]))
+        assert seen == []
 
 
 class TestPhaseWinding:
@@ -625,8 +655,9 @@ class TestResonanceDetection:
 
     @pytest.mark.parametrize("half_width", [0.5, 0.7, 1.0, 1.5, 2.0, 3.0])
     def test_resonant_depth_matches_brentq_oracle(self, half_width, monkeypatch):
-        # the same steps as scipy's brentq on the same chain entry: the same
-        # root to the last bit, from at most the 10 chain evaluations it needs
+        # the same steps as scipy's brentq on the same chain entry, there
+        # taken from a new well at every step: the same root to the last
+        # bit, from at most the 10 chain evaluations it needs
         expected = resonant_depth_brentq(half_width)
         chain = scattering._slab_chain
         calls = []
@@ -640,6 +671,19 @@ class TestResonanceDetection:
         assert type(depth) is float
         assert depth == expected
         assert len(calls) <= 10
+
+    def test_resonant_depth_builds_one_potential(self, monkeypatch):
+        # every Brent step scales the slab model of the one unit-depth well
+        built = []
+        check = Potential.__post_init__
+
+        def spy(self):
+            built.append(self)
+            check(self)
+
+        monkeypatch.setattr(Potential, "__post_init__", spy)
+        assert find_resonant_depth(1.5) == pytest.approx((np.pi / 3.0) ** 2, rel=1e-13)
+        assert len(built) == 1
 
     def test_resonant_depth_needs_no_amplitude_frame(self, monkeypatch):
         def no_transfer(*args, **kwargs):
@@ -885,12 +929,18 @@ class TestCorrectedIndex:
 
     def test_index_matches_stack_product_oracle(self, corrected_reports,
                                                 scan_curves, resonant_curve):
-        # det S conj(det sigma) against det(S sigma^*) from the evaluated
-        # sigma, on every scan well and the resonant one
+        # det S conj(det sigma) with closed-form tails against det(S sigma^*)
+        # from the evaluated sigma on 200-point tails, on every scan well,
+        # the resonant one and the free line's trivial branch
         reports, _ = corrected_reports
-        for key, curve in {**scan_curves, "resonant": resonant_curve}.items():
-            report, sigma = reports[key]
-            winding = corrected_symbol_winding(exp_resample(curve), sigma)
+        cases = {key: (reports[key], exp_resample(curve))
+                 for key, curve in {**scan_curves, "resonant": resonant_curve}.items()}
+        free = exp_resample(scattering_matrix(Potential.free()))
+        trivial = build_sigma(free.s_minus_inf)
+        assert trivial.branch == "trivial"
+        cases["free"] = ((corrected_index(free, trivial), trivial), free)
+        for key, ((report, sigma), lcurve) in cases.items():
+            winding = corrected_symbol_winding(lcurve, sigma)
             # the library's own integrality gate
             assert abs(winding - round(winding)) <= 0.05, f"well {key}"
             assert report.fredholm_index == WINDING_SIGN * round(winding), f"well {key}"
@@ -918,6 +968,27 @@ class TestCorrectedIndex:
         # the eigen-frame weights +-theta/pi cancel exactly
         assert report.w_sigma == 0.0
         assert abs(report.w_scattering - round(report.w_scattering)) <= 0.05
+
+    def test_quarter_turn_fails_integer_gate(self):
+        # a hand-built factor at the curve's limit whose det winds a
+        # quarter-turn, weights (0.5, 0): det(S sigma^*) winds -1/4 on the
+        # free line, by the stack-product oracle too, and the gate refuses
+        # it; the error names the winding, 0.011 turns of which lie in the
+        # tails beyond the window
+        lcurve = exp_resample(scattering_matrix(Potential.free()))
+
+        def evaluator(lam):
+            out = scattering._eye_stack(lam)
+            out[..., 0, 0] = np.exp(0.5j * (np.arctan(lam) - np.pi / 2.0))
+            return out
+
+        quarter = SigmaFactor(branch="quarter-turn", evaluator=evaluator,
+                              frame=np.eye(2, dtype=complex), weights=np.array([0.5, 0.0]),
+                              target_limit=lcurve.s_minus_inf)
+        assert corrected_symbol_winding(lcurve, quarter) == pytest.approx(-0.25, abs=1e-6)
+        with pytest.raises(UndersamplingError,
+                           match=r"winding -0\.250000 is not close to an integer"):
+            corrected_index(lcurve, quarter)
 
     def test_mismatched_sigma_rejected(self, scan_curves):
         lcurve = exp_resample(scan_curves[2.0])
