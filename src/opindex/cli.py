@@ -27,7 +27,6 @@ import numpy as np
 from . import scattering, toeplitz, witten
 from .constants import HALF_BOUND_TOL, LEVINSON_MAX_RESIDUAL, conventions
 from .errors import (
-    ConstructionError,
     DomainError,
     InconclusiveError,
     NonConvergenceError,
@@ -627,10 +626,7 @@ def _run_sigma_index(p: dict, rec: ResultRecord) -> int:
 
 def _corrected(curve: scattering.ScatteringCurve):
     lcurve = scattering.exp_resample(curve)
-    try:
-        sigma = scattering.build_sigma(lcurve.s_minus_inf)
-    except DomainError as exc:  # a limit computed here, not given
-        raise ConstructionError(f"fitted threshold limit of S: {exc}") from exc
+    sigma = scattering.build_sigma(lcurve.s_minus_inf)
     return sigma, scattering.corrected_index(lcurve, sigma)
 
 

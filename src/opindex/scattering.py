@@ -49,9 +49,9 @@ matrix and the parity rotation; S sigma^* is never formed, as its
 determinant is det S conj(det sigma), a closed form, whose phase beyond the
 sampled window, where S sits at its limits, is closed too.  On a few hundred
 samples that costs a fraction of a 2x2-stack einsum, whose dispatch
-dominates at this size.  The straight lines the curve is read through (the
-head and tail of the winding, the threshold limit of S) are least-squares
-fits in closed form, centred on the mean abscissa.
+dominates at this size.  The winding is read through straight lines at its
+head and tail, least-squares fits in closed form centred on the mean
+abscissa; the threshold limit S(0) is exact, from the zero-energy solution.
 
 The resonant well depth is found at k = 0 itself, where no plane-wave
 amplitude (no 1/k) enters: a half-bound state is a zero-energy solution
@@ -175,19 +175,16 @@ def _mul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares line y = slope x + intercept, in closed form.
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Least-squares line y = slope x + intercept through real points, closed form.
 
     Centred on the mean of x, so the normal equations stay well
-    conditioned on a short run of nearby abscissae.  y may carry trailing
-    axes (one line per entry, fitted in one call) and may be complex.
-    Returns (slope, intercept), the order of np.polyfit(x, y, 1).
+    conditioned on a short run of nearby abscissae.  Returns (slope,
+    intercept), the order of np.polyfit(x, y, 1).
     """
-    x_mean = x.mean()
+    x_mean, y_mean = x.mean(), y.mean()
     dx = x - x_mean
-    y_mean = y.mean(axis=0)
-    flat = (y - y_mean).reshape(len(x), -1)
-    slope = (dx @ flat).reshape(y.shape[1:]) / (dx @ dx)
+    slope = (dx @ (y - y_mean)) / (dx @ dx)
     return slope, y_mean - slope * x_mean
 
 
@@ -302,10 +299,11 @@ def _s_from_transfer(t_mats: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ScatteringCurve:
-    """S(k) sampled along an ascending positive wavenumber grid, with det S(k)."""
+    """S(k) on an ascending positive k grid, with det S(k) and the exact S(0)."""
 
     k_samples: np.ndarray
     s_matrices: np.ndarray = field(repr=False)
+    s_zero: np.ndarray = field(repr=False)
     dets: np.ndarray = field(repr=False)
     unitarity_residuals: np.ndarray = field(repr=False)
 
@@ -348,8 +346,8 @@ def scattering_matrix(v: Potential, k_grid: np.ndarray = K_GRID) -> ScatteringCu
         raise IntegrationError(
             f"unitarity residual {worst:.2e} above {S_UNITARITY_TOL:.1e}"
         )
-    return ScatteringCurve(k_samples=k, s_matrices=s, dets=dets,
-                           unitarity_residuals=resid)
+    return ScatteringCurve(k_samples=k, s_matrices=s, s_zero=_threshold_limit(v),
+                           dets=dets, unitarity_residuals=resid)
 
 
 # ---------------------------------------------------------------------------
@@ -413,6 +411,20 @@ def _zero_energy_pass(v: Potential) -> tuple[int, int, float]:
     return zeros, int(half_bound), log_derivative
 
 
+def _threshold_limit(v: Potential) -> np.ndarray:
+    """S(0), exact (Bolle, Gesztesy, Grosse, Schweiger and Simon, 1987).
+
+    -sigma_x, total reflection, at a generic threshold.  A half-bound state
+    is 1 left of the support and c = psi(a) right of it, on the zero-energy
+    chain: t(0) = 2 / (c + 1/c), r_plus(0) = -r_minus(0) = (1/c - c) / (c + 1/c).
+    """
+    if not _zero_energy_pass(v)[1]:
+        return np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    c = float(_slab_chain(v.slabs, np.zeros(1))[0, 0, 0])
+    t, r = np.array([2.0, 1.0 / c - c]) / (c + 1.0 / c)
+    return np.array([[t, -r], [r, t]], dtype=complex)
+
+
 # ---------------------------------------------------------------------------
 # phase winding and the resonant depth
 
@@ -420,8 +432,10 @@ def _zero_energy_pass(v: Potential) -> tuple[int, int, float]:
 def _unwrapped_args(values: np.ndarray) -> np.ndarray:
     args = np.angle(values)
     incr = (np.diff(args) + np.pi) % (2 * np.pi) - np.pi
-    if len(incr) and float(np.max(np.abs(incr))) > UNWRAP_MAX_STEP:
-        raise UndersamplingError("arg increment above the unwrap safety bound")
+    jumps = np.flatnonzero(np.abs(incr) > UNWRAP_MAX_STEP)
+    if len(jumps):
+        raise UndersamplingError(f"arg increment {incr[jumps[0]]:+.2f} rad at step "
+                                 f"{jumps[0]} is above the unwrap safety bound")
     return np.concatenate(([args[0]], args[0] + np.cumsum(incr)))
 
 
@@ -588,9 +602,8 @@ class LambdaCurve:
     ``lam`` is 2 ln k of the curve's samples, so it is uniform on a
     geometric k grid apart from refinement midpoints.  Matrices are stored
     in the parity frame (Hadamard rotation of the transmission/reflection
-    frame), where the threshold limit of a symmetric well is literally
-    +-diag(1, -1) in the generic case.
-    ``s_minus_inf`` is the polar-unitarised extrapolated threshold limit.
+    frame), where ``s_minus_inf``, the curve's exact S(0), is diag(-1, 1)
+    at every generic threshold.
     """
 
     lam: np.ndarray
@@ -599,17 +612,11 @@ class LambdaCurve:
     s_plus_inf: np.ndarray
 
 
-def _polar_unitary(m: np.ndarray) -> np.ndarray:
-    u, _, vh = np.linalg.svd(m)
-    return u @ vh
-
-
 def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
     """Reparametrise a scattering curve by lambda = ln(k^2) at its samples.
 
-    The curve must cover energies [1e-3, 1e3]; the negative-lambda end is
-    the zero-energy limit and the positive end must be close to the
-    identity (within 0.05) or the curve is rejected as too short.
+    The curve must cover energies [1e-3, 1e3], and its high-energy end must
+    lie within 0.05 of the identity, or it is rejected as too short.
     """
     k = curve.k_samples
     if k[0] > math.sqrt(1e-3) or k[-1] < math.sqrt(1e3):
@@ -618,11 +625,6 @@ def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
             "coverage [1e-3, 1e3]"
         )
     s_par = _mul2(_mul2(_HADAMARD, curve.s_matrices), _HADAMARD)
-
-    # threshold limit: linear-in-k extrapolation from the curve head
-    head = min(8, max(3, len(k) // 20))
-    _, limit = _line_fit(k[:head], s_par[:head])
-
     s_plus = s_par[-1]
     if float(np.max(np.abs(s_plus - _EYE2))) > 0.05:
         raise RangeError(
@@ -632,7 +634,7 @@ def exp_resample(curve: ScatteringCurve) -> LambdaCurve:
     return LambdaCurve(
         lam=2.0 * np.log(k),
         s_matrices=s_par,
-        s_minus_inf=_polar_unitary(limit),
+        s_minus_inf=_HADAMARD @ curve.s_zero @ _HADAMARD,
         s_plus_inf=s_plus,
     )
 
@@ -686,8 +688,8 @@ def _eye_stack(lam) -> np.ndarray:
 def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
     """Construct the correction factor for a given threshold limit.
 
-    The input must be unitary to 1e-8 (use the polar-unitarised limit from
-    :func:`exp_resample`).  Branch selection is by the determinant of the
+    The input must be unitary to 1e-8, as the exact limit of
+    :func:`exp_resample` is.  Branch selection is by the determinant of the
     limit; det = -1 limits must have the +-diag(1, -1) form.
     """
     u = np.asarray(s_minus_infinity, dtype=complex)
@@ -733,7 +735,8 @@ def build_sigma(s_minus_infinity: np.ndarray) -> SigmaFactor:
     if abs(det - 1.0) <= 0.1:
         # unitary with unit determinant: eigenphases come in a +-theta pair
         phases, vectors = np.linalg.eig(u)
-        vectors = _polar_unitary(vectors)
+        left, _, right = np.linalg.svd(vectors)  # the nearest unitary frame
+        vectors = left @ right
         angles = np.angle(phases)
         order = np.argsort(angles)  # first column carries exp(-i theta)
         vectors = vectors[:, order]
@@ -801,17 +804,18 @@ def corrected_index(lcurve: LambdaCurve, sigma: SigmaFactor) -> CorrectedIndexRe
     The corrected symbol has identity limits at both ends of the
     log-energy line (checked to 0.05), so its determinant winds an integer
     number of times; the index is minus that winding.  det(S sigma^*) =
-    det S conj(det sigma) is unwrapped over the sampled window; beyond it
-    S sits at its (unitary) limits up to exponentially small terms, and the
+    det S conj(det sigma) is unwrapped over the sampled window and its two
+    junction steps; step 0, from S(0) onto the curve head, is unsampled, and
+    nearly pi just below a resonance (ROADMAP item 11).  Beyond the window S
+    sits at its unitary limits up to exponentially small terms, and the
     phase moves with det sigma = exp(i W (arctan lambda - pi/2)) alone, by
     -W (pi + arctan lambda_0 - arctan lambda_end) over the two tails, W =
     sum(weights).  The split reports the raw det-S phase change as the pair
     index of (D, S^* D S) and the closed-form sigma term; their sum must
     agree with the index.
     """
-    # Limits must match: sigma was built to hit the threshold limit exactly,
-    # and the high-energy end of the curve is close to the identity, so the
-    # corrected symbol approaches the identity at both ends of the line.
+    # a sigma built for this curve hits its exact S(0) to rounding, so only a
+    # mismatched sigma or a curve ending short of the identity fails here
     ends = max(
         float(np.max(np.abs(sigma.target_limit - lcurve.s_minus_inf))),
         float(np.max(np.abs(lcurve.s_plus_inf - _EYE2))),

@@ -11,7 +11,8 @@ Gauss-Legendre quadrature of the heat-trace s-integral over the full
 spectrum, QUADPACK's adaptive ``quad`` for the
 closed-form pair index, scipy's ``brentq`` for the resonant depth, the
 zero-energy resonance flag from the threshold transmission |t(0)| fitted
-on the head of the scattering curve,
+on the head of the scattering curve, the threshold limit S(0) extrapolated
+linearly from that head by ``np.polyfit`` and polar-unitarised by an SVD,
 the dense suspension D and its traces from numpy's own LAPACK, dense
 matrices of shift-lattice band maps assembled entry by entry, the
 grid-space Dirac and bump matrices with their plane-wave forms
@@ -336,6 +337,24 @@ def resonant_depth_brentq(half_width: float) -> float:
     eps = np.finfo(float)
     return brentq(entry, quarter ** 2, (3.0 * quarter) ** 2,
                   xtol=eps.tiny, rtol=4.0 * eps.eps)
+
+
+def fitted_threshold_limit(curve) -> np.ndarray:
+    """S(0) in the parity frame, extrapolated from the head of the curve.
+
+    The route the library took before it read S(0) exactly from the
+    zero-energy solution: each entry of the parity-frame S on the first
+    min(8, max(3, n / 20)) samples is fitted by a line in k with
+    ``np.polyfit``, and the intercepts are replaced by their nearest unitary
+    matrix, the polar factor u vh of an SVD.  Near a resonance the head has
+    not settled to the limit, and the fit misses it.
+    """
+    k = curve.k_samples
+    head = min(8, max(3, len(k) // 20))
+    s_par = scattering._HADAMARD @ curve.s_matrices[:head] @ scattering._HADAMARD
+    _, intercept = np.polyfit(k[:head], s_par.reshape(head, 4), 1)
+    u, _, vh = np.linalg.svd(intercept.reshape(2, 2))
+    return u @ vh
 
 
 def resonance_detect(curve):

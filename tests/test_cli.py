@@ -4,7 +4,9 @@ import ast
 import gc
 import importlib.util
 import json
+import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -495,29 +497,53 @@ class TestExitCodes:
 
     def test_scan_virtual_state_below_curve_resolution_exits_1(self):
         # 2.7e-10 below the located resonance: the same unresolved virtual
-        # state, on the row before the resonant one
+        # state; its det S turns by nearly pi between the exact S(0) and the
+        # curve head, a junction step the corrected index cannot unwrap
         record, code = run(parse_config(["scan", "--depths", "2.4674011"]))
         assert code == 1
-        rows = record.curves["scan"]["rows"]
-        assert [row[3] for row in rows] == [0, 1]  # resonance_flag
-        assert rows[0][4] == pytest.approx(0.5, abs=0.01)
+        assert record.results["error_kind"] == "UndersamplingError"
+        assert "at step 0 " in record.results["error"]
 
-    @pytest.mark.parametrize("argv", [
-        ["corrected-index", "--well-depth", "2.46"],
-        ["corrected-index", "--well-depth", "2.475"],
-        ["corrected-index", "--well-depth", "22.2"],
-        ["corrected-index", "--well-depth", "22.21"],
-        ["scan", "--depths", "2.46"],
+    @pytest.mark.parametrize("depth", [2.4674] + [
+        (n * math.pi / 2.0) ** 2 * (1.0 - 1e-12) for n in (1, 2, 3, 4)
+    ], ids=["2.4674", "n1", "n2", "n3", "n4"])
+    def test_corrected_index_below_resonance_exits_1(self, depth):
+        # just below each of the first four resonances the threshold is a
+        # virtual state far below the curve head: det S turns by nearly pi
+        # from the exact S(0) = -sigma_x onto the head at k = 1e-3, so the
+        # unwrap refuses that junction, step 0, and names it; Levinson's
+        # balance, which misses the same unsampled step, is refused as well
+        record, code = run(parse_config(["corrected-index", "--well-depth", repr(depth)]))
+        assert code == 1
+        assert record.results["error_kind"] == "UndersamplingError"
+        assert re.fullmatch(r"arg increment [+-]3\.1\d rad at step 0 is above the "
+                            r"unwrap safety bound", record.results["error"])
+        _, code = run(parse_config(["levinson", "--well-depth", repr(depth)]))
+        assert code == 1
+
+    @pytest.mark.parametrize("argv, residual", [
+        (["corrected-index", "--well-depth", "2.46"], 0.083),
+        (["corrected-index", "--well-depth", "2.475"], 0.083),
+        (["corrected-index", "--well-depth", "22.2"], 0.089),
+        (["corrected-index", "--well-depth", "22.21"], 0.174),
+        (["scan", "--depths", "2.46"], 0.083),
     ], ids=["ci-2.46", "ci-2.475", "ci-22.2", "ci-22.21", "scan-2.46"])
-    def test_unfit_threshold_limit_exits_1(self, argv):
-        # near a resonance the head of the curve has not settled to
-        # +-diag(1, -1), so no sigma branch fits the fitted limit of S: a
-        # limit the library computed, a failed construction, not a usage
-        # error (ROADMAP item 16 replaces the fit)
+    def test_unfit_threshold_limit_exits_1(self, argv, residual):
+        # near a resonance the threshold scale lies inside the curve's first
+        # decade, so the curve head has not settled to the exact S(0): sigma
+        # is built and the index equals N, but the sampled det-S phase misses
+        # part of the threshold step, and the decomposition is refused
         record, code = run(parse_config(argv))
         assert code == 1
-        assert record.results["error_kind"] == "ConstructionError"
-        assert record.results["error"].startswith("fitted threshold limit of S")
+        assert "error_kind" not in record.results
+        if argv[0] == "scan":
+            row = record.curves["scan"]["rows"][0]
+            assert row[5] == row[1]  # fredholm_index == n_bound
+            assert row[8] == pytest.approx(residual, abs=0.01)
+            return
+        assert record.results["sigma_branch"] == "antidiagonal-limit"
+        assert record.results["fredholm_index"] == record.results["n_bound"]
+        assert record.residuals["decomposition"] == pytest.approx(residual, abs=0.01)
 
     def test_scan_narrow_well_exits_0(self):
         # half-width 0.5: depth 10 lies just above the resonance pi^2
@@ -732,6 +758,29 @@ class TestCommandResults:
         assert len(swept) == 7
         assert [sum(u is v for u in sampled) for v in swept] == [1] * 7
         assert len(sampled) == 8
+
+    def test_threshold_limit_is_not_fitted(self, monkeypatch):
+        # S(0) is exact, so a scan fits no line through the curve head of S
+        # and polar-unitarises nothing: the one SVD is the resonant well's
+        # general-branch frame, and the 14 line fits are the head and tail
+        # of the seven windings
+        svds, fits = [], []
+        svd, line_fit = np.linalg.svd, scattering._line_fit
+
+        def svd_spy(a, *args, **kwargs):
+            svds.append(a.shape)
+            return svd(a, *args, **kwargs)
+
+        def fit_spy(x, y):
+            fits.append(len(x))
+            return line_fit(x, y)
+
+        monkeypatch.setattr(np.linalg, "svd", svd_spy)
+        monkeypatch.setattr(scattering, "_line_fit", fit_spy)
+        _, code = run(parse_config(["scan"]))
+        assert code == 0
+        assert svds == [(2, 2)]
+        assert len(fits) == 14
 
     def test_corrected_index_command(self):
         record, code = run(parse_config(["corrected-index", "--well-depth", "2"]))

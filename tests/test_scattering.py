@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
 from opindex import scattering
 from opindex.constants import WINDING_SIGN
@@ -38,6 +39,7 @@ from oracles import (
     dirichlet_bound_states,
     dirichlet_negative_count,
     dirichlet_negative_count_full,
+    fitted_threshold_limit,
     resonance_detect,
     resonant_depth_brentq,
     rk4_transfer,
@@ -242,9 +244,8 @@ class TestKernels:
         assert _mul2(single.real, stack).dtype == complex
 
     @staticmethod
-    def assert_matches_polyfit(x, y, slope=None, intercept=None):
-        if slope is None:
-            slope, intercept = _line_fit(x, y)
+    def assert_matches_polyfit(x, y):
+        slope, intercept = _line_fit(x, y)
         ref_slope, ref_intercept = np.polyfit(x, y, 1)
         assert abs(intercept - ref_intercept) <= 1e-13
         # the slope is fixed only to the rounding of y over the spread of x
@@ -258,18 +259,6 @@ class TestKernels:
         # a tail in 1 / k, as the winding's delta_inf + c / k fit takes it
         inv = 1.0 / np.geomspace(1000.0, 2000.0, 30)
         self.assert_matches_polyfit(inv, -3.0 + 7.0 * inv + 1e-9 * rng.standard_normal(30))
-
-    def test_line_fit_matches_polyfit_per_entry_of_a_complex_stack(self):
-        rng = np.random.default_rng(10)
-        k = np.geomspace(1e-3, 1.3e-3, 8)
-        s = (self.complex_stack(rng, (2, 2)) + k[:, None, None]
-             * self.complex_stack(rng, (2, 2))
-             + 1e-8 * self.complex_stack(rng, (8, 2, 2)))
-        slope, intercept = _line_fit(k, s)
-        assert slope.shape == intercept.shape == (2, 2)
-        for i in range(2):
-            for j in range(2):
-                self.assert_matches_polyfit(k, s[:, i, j], slope[i, j], intercept[i, j])
 
 
 class TestMergedSweep:
@@ -778,14 +767,10 @@ class TestExpResample:
         assert np.max(np.abs(lcurve.s_matrices - by_einsum)) <= bound
 
     def test_generic_threshold_limit_is_parity_diagonal(self, scan_curves):
+        # S(0) = -sigma_x is diag(-1, 1) in the parity frame, to rounding
         for depth in (0.5, 2.0, 25.0):
-            lcurve = exp_resample(scan_curves[depth])
-            limit = lcurve.s_minus_inf
-            target = np.diag([1.0, -1.0])
-            dist = min(
-                np.max(np.abs(limit - target)), np.max(np.abs(limit + target))
-            )
-            assert dist <= 0.05, f"depth {depth}"
+            limit = exp_resample(scan_curves[depth]).s_minus_inf
+            assert np.max(np.abs(limit - np.diag([-1.0, 1.0]))) <= 1e-15, f"depth {depth}"
 
     def test_det_continuous_along_line(self, scan_curves):
         lcurve = exp_resample(scan_curves[25.0])
@@ -799,6 +784,81 @@ class TestExpResample:
         curve = scattering_matrix(WELL, np.geomspace(0.1, 10.0, 48))
         with pytest.raises(RangeError):
             exp_resample(curve)
+
+
+def resonant_step_well(make_well, lo, hi):
+    """make_well(depth) at the depth in [lo, hi] where psi' at the edge vanishes."""
+    def edge_slope(depth):
+        return float(scattering._slab_chain(make_well(depth).slabs, np.zeros(1))[0, 1, 0])
+
+    eps = np.finfo(float)
+    return make_well(brentq(edge_slope, lo, hi, xtol=eps.tiny, rtol=4.0 * eps.eps))
+
+
+def two_step_well(depth):
+    # V = -1 on (-1, 0) and -depth on [0, 1): no reflection symmetry
+    return Potential(evaluator=lambda x: np.where(
+        (x > -1.0) & (x < 0.0), -1.0, np.where((x >= 0.0) & (x < 1.0), -depth, 0.0)),
+        support_radius=1.0)
+
+
+def barrier_step_well(depth):
+    # a barrier V = +40 on (-1, -0.5), then V = -depth on [-0.5, 1)
+    return Potential(evaluator=lambda x: np.where(
+        (x > -1.0) & (x < -0.5), 40.0, np.where((x >= -0.5) & (x < 1.0), -depth, 0.0)),
+        support_radius=1.0)
+
+
+class TestThresholdLimit:
+    """The exact S(0) against the sweep near k = 0 and the removed head fit."""
+
+    @staticmethod
+    def gap_to_sweep(v):
+        # k = 1e-8: S(k) - S(0) is linear in k, and the w10 / k rounding of
+        # the transfer matrix still small on the barrier well
+        curve = scattering_matrix(v, np.geomspace(1e-3, 2000.0, 64))
+        s_k = scattering._s_from_transfer(transfer_matrices(v, np.array([1e-8])))[0]
+        return float(np.max(np.abs(curve.s_zero - s_k))), curve.s_zero
+
+    @pytest.mark.parametrize("depth", [0.5, 2.0, 2.46, 5.0, 22.2, 22.21, 25.0])
+    def test_generic_limit_matches_sweep(self, depth):
+        well = Potential.square_well(depth, 1.0)
+        assert scattering._zero_energy_pass(well)[1] == 0
+        gap, s_zero = self.gap_to_sweep(well)
+        assert np.array_equal(s_zero, [[0.0, -1.0], [-1.0, 0.0]])  # -sigma_x
+        assert gap <= 2e-5
+
+    @pytest.mark.parametrize("well, c", [
+        (lambda: Potential.square_well(find_resonant_depth(1.0), 1.0), -1.0),
+        (lambda: resonant_step_well(two_step_well, 5.0, 8.0), -0.6297),
+        (lambda: resonant_step_well(barrier_step_well, 6.0, 10.0), -28.65),
+    ], ids=["square", "two-step", "barrier"])
+    def test_half_bound_limit_matches_sweep(self, well, c):
+        # psi = 1 left of the support and c right of it; c != +-1 off the
+        # reflection-symmetric square well gives a full 2x2 limit
+        well = well()
+        assert scattering._zero_energy_pass(well)[1] == 1
+        gap, s_zero = self.gap_to_sweep(well)
+        assert gap <= 1e-6
+        t, r = 2.0 * c / (1.0 + c * c), (1.0 - c * c) / (1.0 + c * c)
+        assert np.max(np.abs(s_zero - [[t, -r], [r, t]])) <= 1e-3
+        assert np.max(np.abs(s_zero.conj().T @ s_zero - np.eye(2))) <= 1e-15
+
+    def test_fitted_limit_matches_away_from_resonances(self, scan_curves, resonant_curve):
+        # the head fit the library dropped agrees with the exact limit on
+        # the scan depths and at the resonance, in the parity frame
+        for key, curve in {**scan_curves, "resonant": resonant_curve}.items():
+            exact = exp_resample(curve).s_minus_inf
+            assert np.max(np.abs(fitted_threshold_limit(curve) - exact)) <= 5e-5, key
+
+    @pytest.mark.parametrize("depth, miss", [(2.46, 0.09), (22.2, 0.12), (22.21, 0.46)])
+    def test_fitted_limit_misses_near_resonances(self, depth, miss):
+        # where the threshold scale lies inside the curve's first decade the
+        # head has not settled, and the fit lands off the exact limit
+        curve = scattering_matrix(Potential.square_well(depth, 1.0))
+        exact = exp_resample(curve).s_minus_inf
+        gap = float(np.max(np.abs(fitted_threshold_limit(curve) - exact)))
+        assert gap == pytest.approx(miss, abs=0.01)
 
 
 class TestSigmaFactor:
